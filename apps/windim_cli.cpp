@@ -21,6 +21,7 @@
 #include <fstream>
 #include <limits>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,7 +59,7 @@ int usage() {
       "                       [--alpha=0|1|2|inf] [--min-fairness=F]\n"
       "                       [--max-delay=T]\n"
       "                       [--pareto-out=FILE] [--pareto-points=N]\n"
-      "                       [--threads=N] [--solver-threads=N]\n"
+      "                       [--solver-threads=N]\n"
       "                       [--max-evals=N] [--cold-start]\n"
       "                       [--metrics-out=FILE] [--trace-out=FILE]\n"
       "                       [--trace-spans-out=FILE] "
@@ -69,7 +70,6 @@ int usage() {
       "                       [--buffers=K] [--permits=P] [--reverse-acks]\n"
       "                       [--reps=N]\n"
       "  windim_cli sweep     <spec> [--loads=0.5,1,1.5,2] [--solver=NAME]\n"
-      "                       [--threads=N]\n"
       "  windim_cli scenario  <spec> [--policies=A,B] [--scenarios=A,B]\n"
       "                       [--time=S] [--warmup=S] [--seed=N] "
       "[--jobs=N]\n"
@@ -118,6 +118,26 @@ std::optional<std::string> flag_value(const std::string& arg,
   return std::nullopt;
 }
 
+/// --threads=N stays accepted so existing scripts keep working, but the
+/// window search is sequential: any value but the default 1 only warns.
+void warn_threads_ignored(int threads) {
+  if (threads == 1) return;
+  std::fprintf(stderr,
+               "warning: --threads is deprecated and ignored; the window "
+               "search runs serially (use --solver-threads for parallel "
+               "sweeps)\n");
+}
+
+/// The chain-block sweep pool --solver-threads=N asks for: none for
+/// N = 1, else N workers capped at the hardware concurrency.  Sweeps are
+/// bit-identical to serial for any pool size, so this is purely a
+/// wall-clock knob for continental-scale models.
+std::unique_ptr<util::ThreadPool> make_sweep_pool(int solver_threads) {
+  if (solver_threads <= 1) return nullptr;
+  return std::make_unique<util::ThreadPool>(
+      util::resolve_thread_count(solver_threads));
+}
+
 /// Writes the global metrics snapshot as one JSON object.
 bool write_metrics_json(const std::string& path) {
   const std::string body = obs::MetricsRegistry::global().snapshot().to_json();
@@ -161,6 +181,7 @@ void print_evaluation(const core::Evaluation& ev,
 int cmd_dimension(const cli::NetworkSpec& spec,
                   const std::vector<std::string>& args) {
   core::DimensionOptions options;
+  int solver_threads = 1;
   bool csv = false;
   std::string metrics_out;
   std::string trace_out;
@@ -243,13 +264,10 @@ int cmd_dimension(const cli::NetworkSpec& spec,
         return 2;
       }
     } else if (auto v = flag_value(arg, "threads")) {
-      // 1 = serial; N > 1 = speculative parallel probes; 0 = hardware.
-      options.threads = std::stoi(*v);
+      warn_threads_ignored(std::stoi(*v));
     } else if (auto v = flag_value(arg, "solver-threads")) {
-      // Chain-block-parallel MVA sweeps inside each evaluation;
-      // bit-identical to the serial sweep for any thread count.
-      options.solver_threads = std::stoi(*v);
-      if (options.solver_threads <= 0) {
+      solver_threads = std::stoi(*v);
+      if (solver_threads <= 0) {
         std::fprintf(stderr, "error: --solver-threads must be >= 1\n");
         return 2;
       }
@@ -274,6 +292,9 @@ int cmd_dimension(const cli::NetworkSpec& spec,
     }
   }
 
+  const std::unique_ptr<util::ThreadPool> sweep_pool =
+      make_sweep_pool(solver_threads);
+  options.solver_pool = sweep_pool.get();
   if (!metrics_out.empty()) obs::MetricsRegistry::global().set_enabled(true);
   obs::SearchTrace trace;
   if (!trace_out.empty()) options.trace = &trace;
@@ -287,8 +308,8 @@ int cmd_dimension(const cli::NetworkSpec& spec,
 
   if (!pareto_out.empty()) {
     // Pareto mode: sweep the power/fairness trade-off instead of a
-    // single solve; the single-solve flags (evaluator, bounds, threads,
-    // budget) configure every solve of the scan.
+    // single solve; the single-solve flags (evaluator, bounds, sweep
+    // pool, budget) configure every solve of the scan.
     core::ParetoOptions popts;
     popts.base = options;
     popts.num_points = pareto_points;
@@ -455,14 +476,9 @@ int cmd_evaluate(const cli::NetworkSpec& spec,
   if (solver == nullptr) return 2;
   const core::WindowProblem problem(spec.topology, spec.classes);
   solver::Workspace ws;
-  // Chain-block-parallel MVA sweeps; bit-identical to the serial sweep
-  // for any thread count (solver/heuristic_mva.cc), so this is purely
-  // a wall-clock knob for continental-scale models.
-  std::optional<util::ThreadPool> pool;
-  if (solver_threads > 1) {
-    pool.emplace(static_cast<std::size_t>(solver_threads));
-    ws.hints.pool = &*pool;
-  }
+  const std::unique_ptr<util::ThreadPool> sweep_pool =
+      make_sweep_pool(solver_threads);
+  ws.hints.pool = sweep_pool.get();
   std::printf("evaluator:  %s\n", std::string(solver->name()).c_str());
   print_evaluation(problem.evaluate_with(*windows, *solver, ws),
                    spec.classes);
@@ -710,7 +726,7 @@ int cmd_sweep(const cli::NetworkSpec& spec,
       if (resolve_solver(*v) == nullptr) return 2;
       options.solver = *v;
     } else if (auto v = flag_value(arg, "threads")) {
-      options.threads = std::stoi(*v);
+      warn_threads_ignored(std::stoi(*v));
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       return 2;

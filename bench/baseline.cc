@@ -111,7 +111,7 @@ std::vector<CheckSpec> perf_serve_checks(double tolerance_pct) {
 
 std::vector<CheckSpec> perf_pareto_checks(double tolerance_pct) {
   // The front's identity gates are deterministic by construction
-  // (serial-replay search, fixed scan order), so they carry zero
+  // (sequential search, fixed scan order), so they carry zero
   // tolerance; only the pruned-lattice fraction is allowed to drift —
   // it moves when the evaluator or the balanced-job bounds are
   // legitimately tightened or relaxed.

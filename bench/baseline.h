@@ -90,7 +90,7 @@ struct BaselineReport {
     double tolerance_pct = 25.0);
 
 /// The scale-free default checks for bench_perf_pareto --check: the
-/// front size, thread-count determinism, seed reproducibility and
+/// front size, repeat-scan determinism, seed reproducibility and
 /// prune/optimum-identity gates are exact; the pruned lattice fraction
 /// is a ratio metric under `tolerance_pct` (floored at 0.05 so a small
 /// absolute wobble on a thin prune cannot explode relatively).

@@ -1,21 +1,21 @@
 // Acceptance benchmark for the compile-once/solve-many engine:
 // dimension the 4-class thesis network (Fig 4.10 traffic) with the
-// heuristic-MVA evaluator and compare
+// heuristic-MVA evaluator and compare three serial configurations
 //
-//   (a) serial cold-start    — compiled engine, threads = 1, no warm start
-//   (b) PR 1 baseline        — threads = 4 + warm start, but every
-//       evaluation rebuilds the NetworkModel and runs the legacy
-//       heap-allocating solve_approx_mva entry point (the engine's
-//       per-evaluation cost before CompiledModel/Workspace existed;
-//       reconstructed here because the engine no longer has that path)
-//   (c) compiled engine      — threads = 4 + warm start over the
-//       problem's CompiledModel, with a persistent WorkspacePool so the
-//       arenas stay warm across runs
+//   (a) serial cold-start    — compiled engine, no warm start
+//   (b) legacy baseline      — warm start, but every evaluation rebuilds
+//       the NetworkModel and runs the legacy heap-allocating
+//       solve_approx_mva entry point (the engine's per-evaluation cost
+//       before CompiledModel/Workspace existed; reconstructed here
+//       because the engine no longer has that path)
+//   (c) compiled engine      — warm start over the problem's
+//       CompiledModel, with a persistent WorkspacePool so the arenas
+//       stay warm across runs
 //
 // Gates (exit 1 on violation):
 //   - all configurations find the identical optimal window vector
 //     (including the run with metrics + tracing enabled);
-//   - (c) is at least 1.3x faster than the PR 1 baseline (b);
+//   - (c) is at least 1.3x faster than the legacy baseline (b);
 //   - the timed reps of (c) perform ZERO Workspace arena allocations
 //     (solver::Workspace::total_heap_allocations() is flat);
 //   - the disabled-instrumentation guard costs < 2% of an evaluation
@@ -32,8 +32,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -47,10 +45,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qn/network.h"
-#include "search/eval_cache.h"
 #include "search/pattern_search.h"
 #include "solver/workspace.h"
-#include "util/thread_pool.h"
 #include "windim/dimension.h"
 #include "windim/problem.h"
 
@@ -61,13 +57,13 @@ using windim::core::DimensionResult;
 using windim::core::Evaluation;
 using windim::core::WindowProblem;
 
-// --- PR 1 baseline: the legacy per-evaluation path -----------------------
+// --- Legacy baseline: the pre-CompiledModel per-evaluation path ----------
 //
-// Same search machinery as dimension_windows (shared EvalCache, warm-start
-// anchors on the deterministic base-point stream, speculative parallel
-// probes), but the objective pays the pre-CompiledModel cost: copy the
-// cyclic network, build a NetworkModel, and solve through the legacy
-// vector-allocating entry point.
+// Same search machinery as dimension_windows (memoized serial pattern
+// search, warm-start anchors on the base-point stream), but the objective
+// pays the pre-CompiledModel cost: copy the cyclic network, build a
+// NetworkModel, and solve through the legacy vector-allocating entry
+// point.
 
 Evaluation legacy_evaluate(const WindowProblem& problem,
                            const std::vector<int>& windows,
@@ -109,28 +105,15 @@ Evaluation legacy_evaluate(const WindowProblem& problem,
   return ev;
 }
 
-struct VectorHash {
-  std::size_t operator()(const std::vector<int>& v) const noexcept {
-    std::size_t h = 0x9e3779b97f4a7c15ull;
-    for (int x : v) {
-      h ^= static_cast<std::size_t>(x) + 0x9e3779b97f4a7c15ull + (h << 6) +
-           (h >> 2);
-    }
-    return h;
-  }
-};
-
 // Trimmed copy of the engine's EvaluationStore: converged states keyed by
 // window vector, anchors registered in trajectory order.
 class LegacyStore {
  public:
   void insert(const std::vector<int>& windows, windim::mva::MvaWarmStart s) {
-    std::lock_guard<std::mutex> lock(mutex_);
     states_.emplace(windows, std::move(s));
   }
 
   void add_anchor(const std::vector<int>& windows) {
-    std::lock_guard<std::mutex> lock(mutex_);
     const auto it = states_.find(windows);
     if (it == states_.end() || it->second.lambda.empty()) return;
     anchors_.push_back(&*it);  // node pointers survive rehashing
@@ -138,7 +121,6 @@ class LegacyStore {
 
   [[nodiscard]] std::optional<windim::mva::MvaWarmStart> nearest_anchor(
       const std::vector<int>& windows) const {
-    std::lock_guard<std::mutex> lock(mutex_);
     const Node* best = nullptr;
     long best_distance = 0;
     for (const Node* a : anchors_) {
@@ -158,8 +140,8 @@ class LegacyStore {
 
  private:
   using Node = std::pair<const std::vector<int>, windim::mva::MvaWarmStart>;
-  mutable std::mutex mutex_;
-  std::unordered_map<std::vector<int>, windim::mva::MvaWarmStart, VectorHash>
+  std::unordered_map<std::vector<int>, windim::mva::MvaWarmStart,
+                     windim::search::PointHash>
       states_;
   std::vector<const Node*> anchors_;
 };
@@ -170,14 +152,8 @@ struct LegacyResult {
   std::size_t objective_evaluations = 0;
 };
 
-LegacyResult legacy_dimension(const WindowProblem& problem, int threads) {
-  windim::search::EvalCache cache(1'000'000);
+LegacyResult legacy_dimension(const WindowProblem& problem) {
   LegacyStore store;
-  std::unique_ptr<windim::util::ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<windim::util::ThreadPool>(
-        static_cast<std::size_t>(threads));
-  }
 
   const windim::search::Objective objective =
       [&](const windim::search::Point& e) {
@@ -195,8 +171,6 @@ LegacyResult legacy_dimension(const WindowProblem& problem, int threads) {
   windim::search::PatternSearchOptions ps;
   ps.lower_bound.assign(static_cast<std::size_t>(num_classes), 1);
   ps.upper_bound.assign(static_cast<std::size_t>(num_classes), 64);
-  ps.cache = &cache;
-  ps.pool = pool.get();
   ps.on_new_base = [&](const windim::search::Point& p, double) {
     store.add_anchor(p);
   };
@@ -307,12 +281,10 @@ int main(int argc, char** argv) {
                               windim::net::four_class_traffic(6, 6, 6, 12));
 
   DimensionOptions cold;
-  cold.threads = 1;
   cold.warm_start = false;
 
   windim::solver::WorkspacePool workspaces;
   DimensionOptions engine;
-  engine.threads = 4;
   engine.warm_start = true;
   engine.workspaces = &workspaces;
 
@@ -320,7 +292,7 @@ int main(int argc, char** argv) {
   // run's high-water mark (the one-time cost the allocation gate
   // excludes by design).
   (void)windim::core::dimension_windows(problem, cold);
-  (void)legacy_dimension(problem, 4);
+  (void)legacy_dimension(problem);
   (void)windim::core::dimension_windows(problem, engine);
 
   DimensionResult cold_result;
@@ -330,7 +302,7 @@ int main(int argc, char** argv) {
 
   LegacyResult legacy_result;
   const double legacy_ms =
-      median_ms(reps, [&] { legacy_result = legacy_dimension(problem, 4); });
+      median_ms(reps, [&] { legacy_result = legacy_dimension(problem); });
 
   const double guard_ns = guard_cost_ns();
 

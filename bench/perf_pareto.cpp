@@ -7,8 +7,8 @@
 //   - scan wall time (median over --reps, recorded for trend inspection
 //     only — machine-bound, no cross-machine check);
 //   - front size, constrained solves, infeasible floors;
-//   - byte-identity of the serialized front across probe thread counts
-//     (1 vs 8);
+//   - byte-identity of the serialized front across repeated scans
+//     (a scan is a pure function of the problem and options);
 //   - per-point reproducibility: one constrained dimension_windows call
 //     from each point's recorded seed must land on the same windows;
 //   - pruned fraction of the exhaustive lattice under
@@ -17,7 +17,7 @@
 //
 // Gates (exit 1 on violation):
 //   - front carries >= 5 non-dominated points;
-//   - serialized fronts are byte-identical across thread counts;
+//   - serialized fronts are byte-identical across repeated scans;
 //   - every point reproduces from its seed;
 //   - the pruned exhaustive sweep prunes a nonzero part of the lattice
 //     and returns the unpruned optimum.
@@ -48,10 +48,8 @@ core::WindowProblem canadian_problem() {
                              net::four_class_traffic(6, 6, 6, 12));
 }
 
-core::ParetoFront run_scan(const core::WindowProblem& problem, int threads) {
-  core::ParetoOptions popts;
-  popts.base.threads = threads;
-  return core::pareto_front(problem, popts);
+core::ParetoFront run_scan(const core::WindowProblem& problem) {
+  return core::pareto_front(problem, core::ParetoOptions{});
 }
 
 }  // namespace
@@ -97,12 +95,12 @@ int main(int argc, char** argv) {
 
   const core::WindowProblem problem = canadian_problem();
 
-  // Timed scans (serial probes — the deterministic reference config).
+  // Timed scans.
   std::vector<double> scan_ms;
   core::ParetoFront front;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    front = run_scan(problem, 1);
+    front = run_scan(problem);
     const auto t1 = std::chrono::steady_clock::now();
     scan_ms.push_back(
         std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -110,11 +108,9 @@ int main(int argc, char** argv) {
   std::sort(scan_ms.begin(), scan_ms.end());
   const double median_scan_ms = scan_ms[scan_ms.size() / 2];
 
-  // Determinism: the serialized front must be byte-identical whether
-  // the per-solve speculative probes ran on 1 or 8 threads.
-  const std::string serial_json = core::to_json(front);
-  const std::string threaded_json = core::to_json(run_scan(problem, 8));
-  const bool deterministic = serial_json == threaded_json;
+  // Determinism: a fresh scan serializes to the same bytes.
+  const bool deterministic =
+      core::to_json(front) == core::to_json(run_scan(problem));
 
   // Reproducibility: each point's recorded seed + floor rebuilds it
   // with one constrained solve.
@@ -174,7 +170,7 @@ int main(int argc, char** argv) {
     pass = false;
   }
   if (!deterministic) {
-    std::printf("FAIL: serialized front differs across thread counts\n");
+    std::printf("FAIL: serialized front differs across repeated scans\n");
     pass = false;
   }
   if (!reproducible) {

@@ -130,17 +130,15 @@ BENCHMARK(BM_FullWindimTwoClass);
 void BM_FullWindimFourClass(benchmark::State& state) {
   const core::WindowProblem problem(
       net::canada_topology(), net::four_class_traffic(6.0, 6.0, 6.0, 12.0));
-  // range(0): worker threads; range(1): warm start on/off.  (1, 0) is the
-  // pre-engine serial cold-start baseline; see also bench_perf_dimension
-  // for the headline comparison.
+  // range(0): warm start on/off.  0 is the pre-engine cold-start
+  // baseline; see also bench_perf_dimension for the headline comparison.
   core::DimensionOptions options;
-  options.threads = static_cast<int>(state.range(0));
-  options.warm_start = state.range(1) != 0;
+  options.warm_start = state.range(0) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::dimension_windows(problem, options));
   }
 }
-BENCHMARK(BM_FullWindimFourClass)->Args({1, 0})->Args({1, 1})->Args({4, 1});
+BENCHMARK(BM_FullWindimFourClass)->Arg(0)->Arg(1);
 
 // Times `Solver::solve_profiled` on a warm workspace: the steady-state
 // cost a dimensioning run pays per evaluation (arena already at its

@@ -12,6 +12,9 @@ session through every reply class the protocol defines:
   3. an unknown op                 -> invalid_request with the id echoed;
   4. an unknown solver             -> unknown_solver listing the registry;
   5. an oversized request line     -> payload_too_large, never parsed;
+     the same for an unterminated line sent past the cap in several
+     writes: answered before any newline arrives, the rest of the line
+     is dropped, and the connection keeps serving;
   6. an already-expired deadline   -> deadline_exceeded;
   7. a pareto scan                 -> ok reply with a sorted non-empty
                                       front and the alpha-fair reference;
@@ -47,8 +50,9 @@ session through every reply class the protocol defines:
                                       written as valid JSON.
 
 Exits nonzero (with a diagnostic on stderr) on the first violation.
-The serve-smoke CI job runs this under ASan+UBSan so every one of
-those paths is also leak- and UB-checked.
+ctest runs it as serve_smoke_socket; the serve-smoke CI job also runs
+it under ASan+UBSan so every one of those paths is leak- and
+UB-checked.
 """
 
 import json
@@ -207,6 +211,24 @@ def main():
             roundtrip(sock, rfile,
                       '{"op":"evaluate","junk":"%s"}' % ("x" * 8192)),
             "payload_too_large", "oversized line")
+
+        # 5b. An unterminated line past the cap is answered without
+        # waiting for its newline (the daemon's buffer stays bounded);
+        # the rest of that line is discarded, and the next request on
+        # the same connection gets its own answer.
+        for _ in range(4):
+            sock.sendall(b"x" * 2048)
+        try:
+            reply = rfile.readline()
+        except socket.timeout:
+            fail("no reply to an unterminated over-cap line")
+        expect_error(json.loads(reply), "payload_too_large",
+                     "unterminated over-cap line")
+        sock.sendall(b"x" * 2048 + b"\n")  # the line's tail and its end
+        r = roundtrip(sock, rfile, {"op": "evaluate", "spec": SPEC,
+                                    "windows": [3, 2], "id": 55})
+        if r.get("ok") is not True or r.get("id") != 55:
+            fail("request after a discarded over-cap line: %s" % r)
 
         # 6. Already-expired deadline cancels cooperatively.
         expect_error(roundtrip(sock, rfile,

@@ -142,8 +142,8 @@ class ConvergenceRecorder {
 };
 
 /// Run-level collection of finished SolveRecords (bounded, drop-oldest).
-/// Appends are mutex-guarded; the engine appends from the deterministic
-/// serial replay, so the record order is thread-count independent.
+/// Appends are mutex-guarded; the engine appends in probe order from its
+/// sequential search, so the record order is deterministic.
 class ConvergenceLog {
  public:
   explicit ConvergenceLog(std::size_t capacity = 1 << 14);

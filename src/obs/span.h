@@ -6,18 +6,19 @@
 // of span feed one tracer:
 //
 //   - REAL spans (Scope): RAII, measured with steady_clock on the
-//     calling thread, nested through a thread-local span stack.  Only
-//     deterministic code paths open real spans (the main thread's
-//     compile/search phases, the verify oracles), so the event COUNT
-//     and ORDER never depend on thread scheduling.
+//     calling thread, nested through a thread-local span stack.  A
+//     dimensioning run opens them only on its one calling thread (the
+//     compile/search/explore phases), so their COUNT and ORDER follow
+//     the sequential search.
 //   - SYNTHESIZED spans (emit on an add_track() track): rebuilt after
 //     the fact from deterministic data — the engine synthesizes the
 //     probe -> solve -> iterate subtree for every probe from the
-//     serial-replay stream and the solve's ConvergenceRecorder samples,
-//     placing them on a virtual "replay" track with a running cursor
-//     timestamp.  This is what makes the whole trace byte-identical
-//     across --threads 1/8 once timestamps and durations are
-//     normalized (span_trace_test pins it).
+//     search's probe stream and the solve's ConvergenceRecorder
+//     samples, placing them on a virtual "replay" track with a running
+//     cursor timestamp.  This is what makes the whole trace of a run
+//     byte-identical from run to run (and with or without a sweep pool)
+//     once timestamps and durations are normalized (span_trace_test
+//     pins it).
 //
 // Budget (DESIGN.md §8/§9): every entry point first checks one relaxed
 // atomic enabled flag; a disabled tracer does no clock reads, no

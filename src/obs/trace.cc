@@ -12,18 +12,8 @@ SearchTrace::SearchTrace(std::size_t capacity)
   ring_.reserve(capacity_);
 }
 
-std::uint64_t SearchTrace::thread_ordinal_locked() {
-  const auto id = std::this_thread::get_id();
-  auto it = thread_ordinals_.find(id);
-  if (it != thread_ordinals_.end()) return it->second;
-  const std::uint64_t ordinal = thread_ordinals_.size();
-  thread_ordinals_.emplace(id, ordinal);
-  return ordinal;
-}
-
 void SearchTrace::append(TraceRecord record) {
   std::lock_guard<std::mutex> lock(mutex_);
-  record.thread = thread_ordinal_locked();
   ++total_;
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(record));
@@ -38,7 +28,6 @@ void SearchTrace::clear() {
   ring_.clear();
   head_ = 0;
   total_ = 0;
-  thread_ordinals_.clear();
 }
 
 std::vector<TraceRecord> SearchTrace::records() const {
@@ -91,7 +80,7 @@ std::string SearchTrace::to_jsonl() const {
     for (int x : r.anchor) w.value(x);
     w.end_array();
     w.key("thread");
-    w.value(r.thread);
+    w.value(0);
     w.end_object();
     out += std::move(w).str();
     out.push_back('\n');

@@ -1,29 +1,25 @@
 // Structured search trace: one record per pattern-search probe, in the
-// deterministic serial-replay order the search accepts results.
+// order the search makes them.
 //
-// Determinism contract (DESIGN.md §8): the speculative engine may
-// evaluate candidates on any thread in any order, but the search
-// trajectory itself is replayed serially, and records are appended from
-// that serial replay only.  Consequently the trace — including the
-// `cache_hit` field, which means "this point was already probed earlier
-// in serial order", not "the memo table happened to be warm" — is
-// byte-identical across thread counts.  Thread ids are ordinals
-// assigned in first-append order (the search thread is always 0), never
-// raw OS ids.
+// Determinism contract (DESIGN.md §8): the search is sequential and each
+// objective value is a pure function of the window vector, so the trace
+// of a run — including `cache_hit` ("this point was already probed
+// earlier in the run") and the warm-start `anchor` — is a function of
+// the problem and options alone, byte-identical on any machine.  The
+// JSONL keeps a constant `"thread":0` field so existing readers of the
+// format see no change.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace windim::obs {
 
 struct TraceRecord {
-  std::uint64_t step = 0;          // 0-based probe index in serial order
+  std::uint64_t step = 0;          // 0-based probe index
   std::vector<int> windows;        // the probed window vector
   double objective = 0.0;          // F: the search objective value
   /// Full objective vector of the probe (search/objective.h); [F] for
@@ -34,14 +30,12 @@ struct TraceRecord {
   double violation = 0.0;
   double power = 0.0;              // P: network power at this point
   std::string solver;              // registry solver name
-  bool cache_hit = false;          // deterministic serial revisit
+  bool cache_hit = false;          // point already probed in this run
   std::vector<int> anchor;         // warm-start anchor windows ([] = cold)
-  std::uint64_t thread = 0;        // appender ordinal, 0 = search thread
 };
 
 /// Bounded ring of TraceRecords; drop-oldest on overflow.  Appends are
-/// mutex-guarded — the serial-replay contract means they never contend
-/// in practice (a single thread appends during a search).
+/// mutex-guarded so a reader on another thread sees whole records.
 class SearchTrace {
  public:
   explicit SearchTrace(std::size_t capacity = 1 << 16);
@@ -58,21 +52,18 @@ class SearchTrace {
 
   /// One JSON object per line, fixed field order:
   /// {"step":..,"windows":[..],"F":..,"obj":[..],"viol":..,"P":..,
-  ///  "solver":"..","cache_hit":..,"anchor":[..],"thread":..}\n
+  ///  "solver":"..","cache_hit":..,"anchor":[..],"thread":0}\n
   [[nodiscard]] std::string to_jsonl() const;
   /// Returns false (and leaves no partial file behind the caller's
   /// expectations) if the file cannot be written.
   bool write_jsonl(const std::string& path) const;
 
  private:
-  [[nodiscard]] std::uint64_t thread_ordinal_locked();
-
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;  // index of the oldest record once full
   std::uint64_t total_ = 0;
-  std::unordered_map<std::thread::id, std::uint64_t> thread_ordinals_;
 };
 
 }  // namespace windim::obs

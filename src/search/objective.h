@@ -24,8 +24,8 @@
 //     scalarization sum_i w_i * objectives[i].
 //
 // All orderings are strict ("a is better than b"); equality under the
-// ordering keeps the incumbent, which is what makes searches
-// deterministic for any evaluation interleaving.
+// ordering keeps the incumbent, so a search trajectory is a function of
+// the evaluations alone.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +33,44 @@
 #include <limits>
 #include <vector>
 
-#include "search/eval_cache.h"
-
 namespace windim::search {
+
+using Point = std::vector<int>;
+
+/// One full evaluation of a point: an objective vector (meaning fixed
+/// by the caller's comparator) plus the total constraint violation.
+/// `violation <= 0` means feasible; a positive value ranks infeasible
+/// points against each other (smaller is closer to the feasible set).
+/// Scalar searches store one-element vectors with violation 0 — the
+/// thesis-exact shim.
+struct VectorEval {
+  std::vector<double> objectives;
+  double violation = 0.0;
+
+  [[nodiscard]] bool feasible() const noexcept { return violation <= 0.0; }
+
+  /// Wraps a legacy scalar objective value (the +inf-encodes-infeasible
+  /// convention travels inside objectives[0], untouched).
+  [[nodiscard]] static VectorEval scalar(double value) {
+    return VectorEval{{value}, 0.0};
+  }
+  /// objectives[0], or +infinity when nothing was evaluated.
+  [[nodiscard]] double scalar_value() const noexcept {
+    return objectives.empty() ? std::numeric_limits<double>::infinity()
+                              : objectives[0];
+  }
+};
+
+struct PointHash {
+  std::size_t operator()(const Point& p) const noexcept {
+    std::size_t h = 0x9e3779b97f4a7c15ull;
+    for (int v : p) {
+      h ^= static_cast<std::size_t>(v) + 0x9e3779b97f4a7c15ull + (h << 6) +
+           (h >> 2);
+    }
+    return h;
+  }
+};
 
 using VectorObjective = std::function<VectorEval(const Point&)>;
 

@@ -1,11 +1,9 @@
 #include "search/pattern_search.h"
 
 #include <algorithm>
-#include <limits>
-#include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/span.h"
@@ -14,84 +12,40 @@ namespace windim::search {
 namespace {
 
 /// Memoized, budget-aware objective front-end.  `operator()` returns
-/// nullopt exactly once the budget is exhausted; `prefetch` fills the
-/// cache concurrently without affecting the serial acceptance order.
+/// nullopt exactly once the budget is exhausted (or the cancel token
+/// expired); every caller unwinds gracefully on a nullopt probe.
 struct Evaluator {
   const VectorObjective& objective;
-  EvalCache& cache;
-  util::ThreadPool* pool;
   const VectorSearchOptions& options;
+  std::unordered_map<Point, VectorEval, PointHash> memo{};
+  std::size_t evaluations = 0;
+  std::size_t hits = 0;
+  std::size_t exhausted_probes = 0;
   bool exhausted = false;
   bool cancelled = false;
-  // on_probe bookkeeping: probe index and the deterministic revisit set
-  // (touched only when the hook is installed, keeping the default path
-  // free of per-probe allocations).
-  std::size_t probe_index = 0;
-  std::unordered_set<Point, PointHash> seen;
 
   std::optional<VectorEval> operator()(const Point& p) {
     if (options.cancel != nullptr && options.cancel->expired()) {
-      // Cancellation rides the exhaustion control flow: every caller
-      // already unwinds gracefully on a nullopt probe.
       cancelled = true;
       exhausted = true;
       return std::nullopt;
     }
-    EvalCache::Result r = cache.lookup_or_reserve(p);
-    if (r.outcome == EvalCache::Outcome::kExhausted) {
+    const std::size_t step = evaluations + hits;
+    const auto it = memo.find(p);
+    const bool revisit = it != memo.end();
+    if (revisit) {
+      ++hits;
+    } else if (evaluations >= options.max_evaluations) {
+      ++exhausted_probes;
       exhausted = true;
       return std::nullopt;
-    }
-    VectorEval v;
-    if (r.outcome == EvalCache::Outcome::kHit) {
-      v = std::move(r.value);
     } else {
-      try {
-        v = objective(p);
-      } catch (...) {
-        cache.abandon(p);
-        throw;
-      }
-      cache.insert(p, v);
+      ++evaluations;
     }
-    if (options.on_probe) {
-      const bool revisit = !seen.insert(p).second;
-      options.on_probe(probe_index++, p, v, revisit);
-    }
+    const VectorEval& v =
+        revisit ? it->second : memo.emplace(p, objective(p)).first->second;
+    if (options.on_probe) options.on_probe(step, p, v, revisit);
     return v;
-  }
-
-  /// Evaluates every uncached candidate on the pool, concurrently.  A
-  /// candidate that loses the budget race is simply left unevaluated;
-  /// the serial replay discovers exhaustion when (and if) it actually
-  /// needs the point.  Speculative probes never fire on_probe — only
-  /// the serial replay does, which is what keeps the stream
-  /// deterministic.
-  void prefetch(const std::vector<Point>& candidates) {
-    if (pool == nullptr || pool->num_threads() < 2) return;
-    // No speculation past an expired token: the serial replay is about
-    // to stop, so prefetched evaluations could only waste budget.
-    if (options.cancel != nullptr && options.cancel->expired()) return;
-    std::vector<Point> fresh;
-    for (const Point& p : candidates) {
-      if (std::find(fresh.begin(), fresh.end(), p) != fresh.end()) continue;
-      fresh.push_back(p);
-    }
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(fresh.size());
-    for (const Point& p : fresh) {
-      jobs.push_back([this, &p] {
-        const EvalCache::Result r = cache.lookup_or_reserve(p);
-        if (r.outcome != EvalCache::Outcome::kReserved) return;
-        try {
-          cache.insert(p, objective(p));
-        } catch (...) {
-          cache.abandon(p);
-          throw;
-        }
-      });
-    }
-    pool->run_batch(std::move(jobs));
   }
 };
 
@@ -119,24 +73,6 @@ Point clip(Point p, const VectorSearchOptions& options) {
   return p;
 }
 
-/// The +/- step candidates an exploratory move about `base` can touch
-/// (speculation superset: the serial move only evaluates a minus probe
-/// when the plus probe failed, and later probes shift with acceptances).
-std::vector<Point> probe_candidates(const Point& base, const Point& step,
-                                    const VectorSearchOptions& options) {
-  std::vector<Point> candidates;
-  candidates.reserve(2 * base.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    Point plus = base;
-    plus[i] += step[i];
-    if (in_bounds(plus, options)) candidates.push_back(std::move(plus));
-    Point minus = base;
-    minus[i] -= step[i];
-    if (in_bounds(minus, options)) candidates.push_back(std::move(minus));
-  }
-  return candidates;
-}
-
 /// Exploratory move about `base`: perturb each coordinate by +step then
 /// -step, keeping strict improvements under the comparator (thesis
 /// Fig 4.2).  Returns the explored point and its evaluation.  On budget
@@ -147,7 +83,6 @@ std::pair<Point, VectorEval> explore(Evaluator& eval, const Comparator& better,
                                      const Point& step,
                                      const VectorSearchOptions& options) {
   obs::SpanTracer::Scope span(options.spans, "explore");
-  eval.prefetch(probe_candidates(base, step, options));
   bool improved = false;
   for (std::size_t i = 0; i < base.size() && !eval.exhausted; ++i) {
     Point plus = base;
@@ -209,16 +144,7 @@ VectorSearchResult vector_pattern_search(const VectorObjective& objective,
   const Comparator better =
       options.better ? options.better : scalar_comparator();
 
-  std::unique_ptr<EvalCache> private_cache;
-  EvalCache* cache = options.cache;
-  if (cache == nullptr) {
-    private_cache = std::make_unique<EvalCache>(options.max_evaluations);
-    cache = private_cache.get();
-  }
-  const std::size_t evaluations_before = cache->evaluations();
-  const std::size_t hits_before = cache->hits();
-  Evaluator eval{objective, *cache, options.pool, options, false, false, 0,
-                 {}};
+  Evaluator eval{objective, options};
   const auto new_base = [&](const Point& p, const VectorEval& f) {
     if (options.on_new_base) options.on_new_base(p, f);
   };
@@ -229,6 +155,7 @@ VectorSearchResult vector_pattern_search(const VectorObjective& objective,
   if (!f_initial) {
     // Budget (or the cancel token) did not even cover the initial point.
     result.best = std::move(base);
+    result.exhausted_probes = eval.exhausted_probes;
     result.cancelled = eval.cancelled;
     result.budget_exhausted = !eval.cancelled;
     return result;
@@ -256,12 +183,6 @@ VectorSearchResult vector_pattern_search(const VectorObjective& objective,
           pattern[i] = 2 * base[i] - previous[i];
         }
         pattern = clip(std::move(pattern), options);
-        // Speculate on the pattern probe together with the exploration
-        // around it, then replay serially.
-        std::vector<Point> candidates = probe_candidates(pattern, step,
-                                                         options);
-        candidates.push_back(pattern);
-        eval.prefetch(candidates);
         std::optional<VectorEval> f_pattern = eval(pattern);
         if (!f_pattern) break;
         auto [next, f_next] = explore(eval, better, pattern,
@@ -298,8 +219,9 @@ VectorSearchResult vector_pattern_search(const VectorObjective& objective,
 
   result.best = base;
   result.best_eval = std::move(f_base);
-  result.evaluations = cache->evaluations() - evaluations_before;
-  result.cache_hits = cache->hits() - hits_before;
+  result.evaluations = eval.evaluations;
+  result.cache_hits = eval.hits;
+  result.exhausted_probes = eval.exhausted_probes;
   result.step_reductions = reductions;
   result.cancelled = eval.cancelled;
   result.budget_exhausted = eval.exhausted && !eval.cancelled;
@@ -322,8 +244,6 @@ PatternSearchResult pattern_search(const Objective& objective, Point initial,
   vo.lower_bound = options.lower_bound;
   vo.upper_bound = options.upper_bound;
   vo.max_evaluations = options.max_evaluations;
-  vo.cache = options.cache;
-  vo.pool = options.pool;
   vo.better = scalar_comparator();
   vo.spans = options.spans;
   vo.cancel = options.cancel;
@@ -347,6 +267,7 @@ PatternSearchResult pattern_search(const Objective& objective, Point initial,
   result.best_value = scalarize(vr.best_eval);
   result.evaluations = vr.evaluations;
   result.cache_hits = vr.cache_hits;
+  result.exhausted_probes = vr.exhausted_probes;
   result.step_reductions = vr.step_reductions;
   result.budget_exhausted = vr.budget_exhausted;
   result.cancelled = vr.cancelled;

@@ -9,20 +9,12 @@
 // at 1 ("since we are interested only in integral window settings ...
 // the Pattern Search suffices").
 //
-// Objective evaluations are memoized (the APL FLOC/FCT pair): the search
-// revisits points freely and each is evaluated at most once.  The memo
-// lives in a thread-safe EvalCache that callers may supply and share
-// across a whole run (see eval_cache.h).
-//
-// Speculative parallel exploration: when `options.pool` is set, the 2R
-// coordinate probes of an exploratory move (and the pattern-move probe)
-// are evaluated concurrently to pre-fill the cache, after which the
-// *exact serial* Hooke-Jeeves acceptance order is replayed against the
-// memo.  The replay makes the search trajectory — every accepted base
-// point and the final optimum — identical to the sequential search
-// whenever the objective is a pure function of the point; speculation
-// only changes which probes get evaluated (wasted speculative
-// evaluations count against the budget and `evaluations`).
+// The search is sequential.  Objective evaluations are memoized in a
+// memo private to one search (the APL FLOC/FCT pair): the search
+// revisits points freely and each is evaluated at most once, in
+// trajectory order, on the calling thread.  The objective is therefore
+// never called concurrently, and every hook below fires in the order
+// the search makes its decisions.
 //
 // Budget exhaustion is not an error: when the evaluation budget runs out
 // mid-search the best point found so far is returned with
@@ -34,10 +26,8 @@
 #include <utility>
 #include <vector>
 
-#include "search/eval_cache.h"
 #include "search/objective.h"
 #include "util/cancel.h"
-#include "util/thread_pool.h"
 
 namespace windim::obs {
 class SpanTracer;  // obs/span.h
@@ -46,10 +36,8 @@ class SpanTracer;  // obs/span.h
 namespace windim::search {
 
 /// Scalar objective to minimize; must be defined on every in-bounds
-/// point.  Called concurrently from pool threads when speculative
-/// exploration is enabled, so it must be thread-safe (const problem
-/// evaluations are).  The scalar entry point is a shim over the
-/// vector-valued substrate below — same trajectory, bit-for-bit.
+/// point.  The scalar entry point is a shim over the vector-valued
+/// substrate below — same trajectory, bit-for-bit.
 using Objective = std::function<double(const Point&)>;
 
 struct PatternSearchOptions {
@@ -63,44 +51,29 @@ struct PatternSearchOptions {
   /// uses lower bounds of 1 (a window of 0 closes the virtual channel).
   Point lower_bound;
   Point upper_bound;
-  /// Safety valve on fresh objective evaluations; ignored when `cache`
-  /// is supplied (the shared cache carries its own budget).
+  /// Safety valve on fresh objective evaluations.
   std::size_t max_evaluations = 1'000'000;
-  /// Shared memoization cache; null means a private per-search cache
-  /// with a budget of `max_evaluations`.  Sharing lets the caller reuse
-  /// every evaluation of the run (e.g. the final best-point read).
-  EvalCache* cache = nullptr;
-  /// Thread pool for speculative exploration; null (or a pool with < 2
-  /// workers) keeps the search fully sequential.
-  util::ThreadPool* pool = nullptr;
-  /// Invoked on the calling thread for the initial point and for every
-  /// newly accepted base point, in trajectory order.  The trajectory is
-  /// identical in serial and speculative runs, which makes this hook a
-  /// deterministic anchor stream (the warm-start engine seeds MVA fixed
-  /// points from it; see windim/dimension.cc).
+  /// Invoked for the initial point and for every newly accepted base
+  /// point, in trajectory order (the warm-start engine registers its
+  /// MVA anchors from it; see windim/dimension.cc).
   std::function<void(const Point&, double)> on_new_base;
-  /// Invoked on the calling thread for every probe the serial replay
-  /// resolves to a value, in acceptance order: `step` is the 0-based
-  /// probe index, `revisit` is true when the point was already probed
-  /// earlier in serial order.  Like the trajectory itself, this stream
-  /// is identical in serial and speculative runs (`revisit` is the
-  /// deterministic notion of a cache hit — whether the memo table was
-  /// actually warm depends on speculation and is NOT reported here).
-  /// Budget-exhausted probes resolve to no value and are not reported.
+  /// Invoked for every probe that resolves to a value, in search order:
+  /// `step` is the 0-based probe index, `revisit` is true when the memo
+  /// already held the point (a cache hit).  Budget-exhausted probes
+  /// resolve to no value and are not reported.
   std::function<void(std::size_t step, const Point&, double value,
                      bool revisit)>
       on_probe;
   /// Optional span tracer (obs/span.h): each exploratory move opens a
-  /// real "explore" span on the calling (serial-replay) thread, so the
-  /// span count and order follow the deterministic trajectory, never
-  /// worker scheduling.  Null skips all tracing.
+  /// real "explore" span on the calling thread.  Null skips all
+  /// tracing.
   obs::SpanTracer* spans = nullptr;
   /// Cooperative stop signal (util/cancel.h), polled before every
-  /// serial-replay probe.  Once expired, the search stops accepting
-  /// probes and returns its best point so far with
-  /// PatternSearchResult::cancelled set — the same graceful unwind as
-  /// budget exhaustion, so a deadline never loses the work already
-  /// done.  Null (the default) disables the polling entirely.
+  /// probe.  Once expired, the search stops accepting probes and
+  /// returns its best point so far with PatternSearchResult::cancelled
+  /// set — the same graceful unwind as budget exhaustion, so a deadline
+  /// never loses the work already done.  Null (the default) disables
+  /// the polling entirely.
   const util::CancelToken* cancel = nullptr;
 };
 
@@ -109,6 +82,9 @@ struct PatternSearchResult {
   double best_value = 0.0;
   std::size_t evaluations = 0;  // fresh (uncached) objective calls
   std::size_t cache_hits = 0;
+  /// Probes refused because the budget was spent (the search stops at
+  /// the first one, so this is 0 or 1).
+  std::size_t exhausted_probes = 0;
   int step_reductions = 0;
   /// True when the evaluation budget ran out before the search
   /// terminated on its own; `best` is then the best point found so far
@@ -145,12 +121,10 @@ struct VectorSearchOptions {
   Point lower_bound;
   Point upper_bound;
   std::size_t max_evaluations = 1'000'000;
-  EvalCache* cache = nullptr;
-  util::ThreadPool* pool = nullptr;
   /// Strict "a beats b" ordering; null means scalar_comparator().
   Comparator better;
-  /// Trajectory hooks over full evaluations (same determinism contract
-  /// as the scalar hooks: serial-replay order, thread-count independent).
+  /// Trajectory hooks over full evaluations (same order as the scalar
+  /// hooks).
   std::function<void(const Point&, const VectorEval&)> on_new_base;
   std::function<void(std::size_t step, const Point&, const VectorEval&,
                      bool revisit)>
@@ -166,6 +140,7 @@ struct VectorSearchResult {
   VectorEval best_eval;
   std::size_t evaluations = 0;
   std::size_t cache_hits = 0;
+  std::size_t exhausted_probes = 0;
   int step_reductions = 0;
   bool budget_exhausted = false;
   bool cancelled = false;

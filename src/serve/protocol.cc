@@ -251,6 +251,12 @@ ParseResult parse_request(std::string_view line) {
                 ErrorCode::kInvalidRequest,
                 "field 'alpha' must be 0, 1, 2 or \"inf\"");
   };
+  // 'threads' stays accepted (and range-checked) so existing clients
+  // keep working, but searches are sequential, so its value is unused.
+  const auto ignored_threads_field = [&]() -> std::optional<ParseResult> {
+    int threads = 1;
+    return int_field("threads", 1, 4096, threads);
+  };
   const auto min_fairness_field = [&]() -> std::optional<ParseResult> {
     if (doc->find("min_fairness") == nullptr) return std::nullopt;
     if (auto err = number_field("min_fairness", 0.0, request.min_fairness)) {
@@ -316,9 +322,7 @@ ParseResult parse_request(std::string_view line) {
                                request.solver_threads)) {
         return *err;
       }
-      if (auto err = int_field("threads", 1, 4096, request.threads)) {
-        return *err;
-      }
+      if (auto err = ignored_threads_field()) return *err;
       if (auto err = int_field("max_window", 1, 1 << 20,
                                request.max_window)) {
         return *err;
@@ -361,9 +365,7 @@ ParseResult parse_request(std::string_view line) {
                                request.solver_threads)) {
         return *err;
       }
-      if (auto err = int_field("threads", 1, 4096, request.threads)) {
-        return *err;
-      }
+      if (auto err = ignored_threads_field()) return *err;
       if (auto err = int_field("max_window", 1, 1 << 20,
                                request.max_window)) {
         return *err;

@@ -26,6 +26,10 @@
 //   {"op":"dump","id":12}
 //   {"op":"shutdown","id":5}
 //
+// "threads" (dimension, pareto) is range-checked and ignored: searches
+// are sequential.  "solver_threads" > 1 runs chain-block sweeps on the
+// server's one shared sweep pool; replies are identical either way.
+//
 // Reply: exactly one line per request line, in request order per
 // connection, always one of
 //
@@ -107,8 +111,9 @@ struct Request {
   std::string spec;               // network spec text
   std::vector<int> windows;       // evaluate only
   std::string solver;             // empty = op default
+  /// Values above 1 run chain-block sweeps on the server's shared sweep
+  /// pool (bit-identical to serial, so the reply does not change).
   int solver_threads = 1;
-  int threads = 1;                // dimension: speculative probe threads
   int max_window = 64;            // dimension
   std::string objective = "power";
   double power_exponent = 1.0;

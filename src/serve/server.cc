@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -125,13 +127,16 @@ void write_histogram(obs::JsonWriter& w, const obs::HistogramSnapshot& h) {
   w.end_object();
 }
 
-/// SIGTERM/SIGINT latch for serve_unix (async-signal-safe flag).
-volatile std::sig_atomic_t g_stop_signal = 0;
-void on_stop_signal(int) { g_stop_signal = 1; }
+/// SIGTERM/SIGINT latch for serve_unix.  A lock-free atomic is both
+/// async-signal-safe and race-free for the connection threads that poll
+/// it (a volatile sig_atomic_t is only the former).
+std::atomic<int> g_stop_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
+void on_stop_signal(int) { g_stop_signal.store(1); }
 
 /// SIGUSR1 latch: the accept loop answers it with write_live_dumps().
-volatile std::sig_atomic_t g_usr1_signal = 0;
-void on_usr1_signal(int) { g_usr1_signal = 1; }
+std::atomic<int> g_usr1_signal{0};
+void on_usr1_signal(int) { g_usr1_signal.store(1); }
 
 /// Window horizons in 1 s ticks for the stats/exposition readouts.
 constexpr std::uint64_t kWindow10s = 10;
@@ -202,6 +207,7 @@ bool write_all(int fd, const std::string& data) {
 Server::Server(ServeOptions options)
     : options_(options),
       pool_(util::resolve_thread_count(options.threads)),
+      sweep_pool_(util::resolve_thread_count(0)),
       cache_(options.cache_capacity),
       clock_(options.clock != nullptr ? options.clock
                                       : &obs::steady_window_clock()),
@@ -483,11 +489,6 @@ std::string Server::run_evaluate(const Request& request,
 
   const RequestDeadline deadline(request.deadline_ms,
                                  options_.default_deadline_ms);
-  std::unique_ptr<util::ThreadPool> solver_pool;
-  if (request.solver_threads > 1) {
-    solver_pool = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(request.solver_threads));
-  }
 
   obs::WindowClock* sc = span_clock();
   std::uint64_t lease_start = sc != nullptr ? sc->now_us() : 0;
@@ -497,7 +498,7 @@ std::string Server::run_evaluate(const Request& request,
         {"workspace_lease", lease_start, sc->now_us() - lease_start});
   }
   // Caller-owned hints evaluate_with preserves across its reset.
-  ws->hints.pool = solver_pool.get();
+  ws->hints.pool = sweep_pool(request);
   ws->hints.cancel = deadline.get();
   std::optional<core::Evaluation> solved;
   {
@@ -535,8 +536,7 @@ std::string Server::run_dimension(const Request& request,
   core::DimensionOptions opts;
   opts.solver = request.solver;
   opts.max_window = request.max_window;
-  opts.threads = request.threads;
-  opts.solver_threads = request.solver_threads;
+  opts.solver_pool = sweep_pool(request);
   opts.power_exponent = request.power_exponent;
   opts.max_delay = request.max_delay;
   if (request.max_evals > 0) opts.max_evaluations = request.max_evals;
@@ -622,8 +622,7 @@ std::string Server::run_pareto(const Request& request, RequestTrace& trace) {
   core::ParetoOptions popts;
   popts.base.solver = request.solver;
   popts.base.max_window = request.max_window;
-  popts.base.threads = request.threads;
-  popts.base.solver_threads = request.solver_threads;
+  popts.base.solver_pool = sweep_pool(request);
   if (request.max_evals > 0) popts.base.max_evaluations = request.max_evals;
   popts.base.workspaces = &workspaces_;
   popts.base.cancel = deadline.get();
@@ -1308,6 +1307,8 @@ int Server::serve_unix(const std::string& path,
     connections.emplace_back([this, fd]() {
       std::string buffer;
       std::size_t scan = 0;
+      // True while dropping the rest of an over-cap line.
+      bool discarding = false;
       pump(
           [&](std::string& line) {
             const std::size_t nl = buffer.find('\n', scan);
@@ -1317,11 +1318,29 @@ int Server::serve_unix(const std::string& path,
               scan = 0;
               return ReadResult::kLine;
             }
+            if (buffer.size() > options_.max_request_bytes) {
+              // No newline yet and already over the cap: answer now
+              // (handle_line rejects the prefix unparsed) and drop the
+              // rest of the line as it arrives, so the buffer stays
+              // bounded and the connection keeps serving.
+              line.assign(buffer, 0, options_.max_request_bytes + 1);
+              buffer.clear();
+              scan = 0;
+              discarding = true;
+              return ReadResult::kLine;
+            }
             scan = buffer.size();
             char chunk[4096];
             const ssize_t n = ::read(fd, chunk, sizeof(chunk));
             if (n > 0) {
-              buffer.append(chunk, static_cast<std::size_t>(n));
+              std::string_view data(chunk, static_cast<std::size_t>(n));
+              if (discarding) {
+                const std::size_t end = data.find('\n');
+                if (end == std::string_view::npos) return ReadResult::kIdle;
+                data.remove_prefix(end + 1);
+                discarding = false;
+              }
+              buffer.append(data);
               return ReadResult::kIdle;  // re-scan on the next poll
             }
             if (n == 0) return ReadResult::kEof;  // peer closed

@@ -40,7 +40,8 @@ constexpr int kMinChainsPerBlock = 64;
 // unit-stride.  STEP 2's per-chain subproblems are independent given
 // the hoisted busy[], which is what the optional chain-block pool
 // dispatch (SolveHints::pool) exploits; block partitioning never
-// changes any per-chain arithmetic, so serial replay is deterministic.
+// changes any per-chain arithmetic, so the result is bit-identical to
+// the serial sweep.
 Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
                                    const PopulationVector& population,
                                    Workspace& ws) const {

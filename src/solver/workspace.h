@@ -76,7 +76,7 @@ struct SolveHints {
   /// (the default) keeps every sweep serial.  The parallel sweep
   /// partitions chains into fixed blocks whose per-chain results are
   /// independent, so the output is bit-identical to the serial sweep
-  /// for any pool size (serial-replay determinism).  The pool is
+  /// for any pool size.  The pool is
   /// borrowed, not owned, and must outlive the solve.
   util::ThreadPool* pool = nullptr;
   /// Cooperative stop signal (util/cancel.h).  Iterative solvers poll

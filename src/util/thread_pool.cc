@@ -69,9 +69,8 @@ void ThreadPool::run_batch(std::vector<std::function<void()>> jobs) {
 std::size_t resolve_thread_count(int requested) noexcept {
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   if (requested <= 0) return hw;
-  // Cap at the hardware concurrency: the pool runs CPU-bound evaluation
-  // jobs, and oversubscribing cores only adds scheduling latency.  (The
-  // speculative engine's results do not depend on the worker count.)
+  // Cap at the hardware concurrency: the pools run CPU-bound jobs, and
+  // oversubscribing cores only adds scheduling latency.
   return std::min(static_cast<std::size_t>(requested), hw);
 }
 

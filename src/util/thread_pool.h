@@ -1,12 +1,16 @@
-// A small fixed-size thread pool for the speculative-evaluation engine.
+// A small fixed-size thread pool.  Three kinds of work run on one:
 //
-// The dimensioning loop submits short CPU-bound jobs (one heuristic-MVA
-// evaluation each); the pool keeps the workers alive across batches so a
-// pattern search pays thread start-up once per run, not once per probe.
-// Jobs are plain std::function<void()>; callers that need results wait on
-// the returned futures (see submit) or use run_batch, which blocks until
-// every job in the batch has finished and runs jobs inline when the pool
-// is empty (zero worker threads = serial fallback).
+//   - the chain-block sweeps inside one heuristic-MVA solve
+//     (solver::SolveHints::pool; bit-identical to the serial sweep);
+//   - the requests of `windim serve` (one pool per Server);
+//   - the cells of the scenario matrix and the fuzz campaign.
+//
+// The pool keeps its workers alive across batches, so a caller pays
+// thread start-up once, not once per batch.  Jobs are plain
+// std::function<void()>; callers that need results wait on the returned
+// futures (see submit) or use run_batch, which blocks until every job in
+// the batch has finished and runs jobs inline when the pool is empty
+// (zero worker threads = serial fallback).
 #pragma once
 
 #include <condition_variable>

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -15,90 +12,45 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "search/eval_cache.h"
 #include "solver/registry.h"
-#include "util/thread_pool.h"
 
 namespace windim::core {
 namespace {
 
-/// Every full Evaluation of the run, shared between the objective (any
-/// thread), the warm-start seeding, and the final best-point read — the
-/// search's EvalCache memoizes objective *values*, this store keeps the
+/// Every full Evaluation of the run, shared between the objective, the
+/// warm-start seeding, the probe hooks and the final best-point read —
+/// the search memoizes objective *values*, this store keeps the
 /// *evaluations* so nothing is ever recomputed.
 class EvaluationStore {
  public:
-  void insert(const std::vector<int>& windows, Evaluation evaluation,
-              mva::MvaWarmStart state,
-              std::optional<obs::SolveRecord> solve_record = std::nullopt) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    evaluations_.emplace(windows,
-                         Entry{std::move(evaluation), std::move(state),
-                               std::move(solve_record)});
-  }
-
-  [[nodiscard]] std::optional<Evaluation> find(
-      const std::vector<int>& windows) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = evaluations_.find(windows);
-    if (it == evaluations_.end()) return std::nullopt;
-    return it->second.evaluation;
-  }
-
-  /// The SolveRecord captured when `windows` was freshly evaluated
-  /// (nullopt when the run is not observing convergence or the point
-  /// was never evaluated).
-  [[nodiscard]] std::optional<obs::SolveRecord> find_record(
-      const std::vector<int>& windows) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = evaluations_.find(windows);
-    if (it == evaluations_.end()) return std::nullopt;
-    return it->second.solve_record;
-  }
-
-  /// Registers `windows` as a warm-start anchor.  Anchors are the
-  /// accepted base points of the pattern search, registered on the
-  /// search thread in trajectory order — a sequence that is identical
-  /// in serial and speculative-parallel runs, which keeps warm-start
-  /// seeds (and therefore every evaluated value) independent of thread
-  /// timing.
-  void add_anchor(const std::vector<int>& windows) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = evaluations_.find(windows);
-    if (it == evaluations_.end() || it->second.state.lambda.empty()) return;
-    anchors_.push_back(&it->second);  // node pointers survive rehashing
-  }
-
-  /// Converged state of the anchor nearest to `windows` (L1 distance,
-  /// earliest-registered anchor on ties); nullopt before any anchor.
-  [[nodiscard]] std::optional<mva::MvaWarmStart> nearest_anchor(
-      const std::vector<int>& windows) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* best = nearest_entry_locked(windows);
-    if (best == nullptr) return std::nullopt;
-    return best->state;
-  }
-
-  /// Window vector of the nearest anchor (empty before any anchor) —
-  /// the trace's `anchor` field.  Deterministic for the search thread:
-  /// the anchor set only changes between explorations.
-  [[nodiscard]] std::vector<int> nearest_anchor_windows(
-      const std::vector<int>& windows) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const Entry* best = nearest_entry_locked(windows);
-    if (best == nullptr) return {};
-    return best->evaluation.windows;
-  }
-
- private:
   struct Entry {
     Evaluation evaluation;
     mva::MvaWarmStart state;  // empty for non-heuristic evaluators
+    const Entry* anchor = nullptr;  // warm-start seed (null = cold)
     /// Per-solve convergence telemetry (only when the run observes it).
     std::optional<obs::SolveRecord> solve_record;
   };
 
-  [[nodiscard]] const Entry* nearest_entry_locked(
+  void insert(const std::vector<int>& windows, Entry entry) {
+    evaluations_.emplace(windows, std::move(entry));
+  }
+
+  [[nodiscard]] const Entry* find(const std::vector<int>& windows) const {
+    const auto it = evaluations_.find(windows);
+    return it == evaluations_.end() ? nullptr : &it->second;
+  }
+
+  /// Registers `windows` as a warm-start anchor.  Anchors are the
+  /// accepted base points of the pattern search, in trajectory order.
+  void add_anchor(const std::vector<int>& windows) {
+    const Entry* entry = find(windows);
+    if (entry == nullptr || entry->state.lambda.empty()) return;
+    anchors_.push_back(entry);  // node pointers survive rehashing
+  }
+
+  /// The anchor nearest to `windows` (L1 distance, earliest-registered
+  /// anchor on ties); null before any anchor.
+  [[nodiscard]] const Entry* nearest_anchor(
       const std::vector<int>& windows) const {
     const Entry* best = nullptr;
     long best_distance = 0;
@@ -115,19 +67,10 @@ class EvaluationStore {
     }
     return best;
   }
-  struct VectorHash {
-    std::size_t operator()(const std::vector<int>& v) const noexcept {
-      std::size_t h = 0x9e3779b97f4a7c15ull;
-      for (int x : v) {
-        h ^= static_cast<std::size_t>(x) + 0x9e3779b97f4a7c15ull + (h << 6) +
-             (h >> 2);
-      }
-      return h;
-    }
-  };
 
-  mutable std::mutex mutex_;
-  std::unordered_map<std::vector<int>, Entry, VectorHash> evaluations_;
+ private:
+  std::unordered_map<std::vector<int>, Entry, search::PointHash>
+      evaluations_;
   std::vector<const Entry*> anchors_;
 };
 
@@ -153,12 +96,11 @@ std::string windows_string(const std::vector<int>& windows) {
   return out;
 }
 
-/// Synthesizes the probe -> solve -> iterate subtree for one
-/// serial-replay probe onto the tracer's virtual replay track.  The
-/// spans are rebuilt from the solve's ConvergenceRecorder samples with a
-/// running cursor timestamp, so their count, order and nesting are
-/// functions of the deterministic replay alone — never of which worker
-/// thread evaluated the probe.  Returns the advanced cursor.
+/// Synthesizes the probe -> solve -> iterate subtree for one search
+/// probe onto the tracer's virtual "replay" track.  The spans are
+/// rebuilt from the solve's ConvergenceRecorder samples with a running
+/// cursor timestamp, so their count, order and nesting are functions of
+/// the probe stream alone.  Returns the advanced cursor.
 double synthesize_probe_spans(obs::SpanTracer& tracer, std::uint64_t track,
                               double cursor_us, std::size_t step,
                               const std::vector<int>& windows, double value,
@@ -249,11 +191,9 @@ DimensionResult dimension_windows(const WindowProblem& problem,
   const ObjectiveSpec spec = objective_spec(options);
   validate(spec, num_classes);
 
-  // The run-wide engine state: one memo/budget, one evaluation store,
-  // one registry solver, one workspace pool (caller's, if provided, so
-  // warm arenas survive across runs), and (for --threads > 1) one
-  // worker pool for speculative probes.
-  search::EvalCache cache(options.max_evaluations);
+  // The run-wide engine state: one evaluation store, one registry
+  // solver and one workspace pool (caller's, if provided, so warm arenas
+  // survive across runs).  The memo and budget live in the search.
   EvaluationStore store;
   const solver::Solver& solver = solver::SolverRegistry::instance().require(
       options.solver.empty() ? to_string(options.evaluator)
@@ -262,22 +202,6 @@ DimensionResult dimension_windows(const WindowProblem& problem,
   solver::WorkspacePool& workspaces = options.workspaces != nullptr
                                           ? *options.workspaces
                                           : local_workspaces;
-  std::unique_ptr<util::ThreadPool> pool;
-  const std::size_t pool_size =
-      options.threads == 1 ? 1 : util::resolve_thread_count(options.threads);
-  if (pool_size > 1) pool = std::make_unique<util::ThreadPool>(pool_size);
-  // Separate pool for the chain-block sweeps inside each solve
-  // (SolveHints::pool): shared across every evaluation of the run —
-  // ThreadPool is thread-safe, so concurrent speculative probes may
-  // batch onto it — and bit-identical to serial sweeps by construction.
-  std::unique_ptr<util::ThreadPool> solver_pool;
-  const std::size_t solver_pool_size =
-      options.solver_threads == 1
-          ? 1
-          : util::resolve_thread_count(options.solver_threads);
-  if (solver_pool_size > 1) {
-    solver_pool = std::make_unique<util::ThreadPool>(solver_pool_size);
-  }
 
   const bool warm =
       options.warm_start && solver.traits().supports_warm_start;
@@ -287,25 +211,26 @@ DimensionResult dimension_windows(const WindowProblem& problem,
       options.convergence != nullptr ||
       (options.spans != nullptr && options.spans->enabled());
   const search::VectorObjective objective = [&](const search::Point& e) {
-    std::optional<mva::MvaWarmStart> seed;
-    if (warm) seed = store.nearest_anchor(e);
-    mva::MvaWarmStart state;
+    EvaluationStore::Entry entry;
+    const EvaluationStore::Entry* anchor =
+        warm ? store.nearest_anchor(e) : nullptr;
+    entry.anchor = anchor;
     auto ws = workspaces.acquire();
     // Caller-owned hints evaluate_with preserves across its reset.
-    ws->hints.pool = solver_pool.get();
+    ws->hints.pool = options.solver_pool;
     ws->hints.cancel = options.cancel;
-    // One recorder per evaluation (recorders are single-solve,
-    // single-thread); the finished record parks in the store until the
-    // serial replay reaches this point and logs it in replay order.
+    // One recorder per evaluation (recorders are single-solve); the
+    // finished record parks in the store until the probe hook logs it.
     std::optional<obs::ConvergenceRecorder> recorder;
     if (observe_solves) recorder.emplace();
-    Evaluation ev = problem.evaluate_with(
-        e, solver, *ws, &options.mva, seed ? &*seed : nullptr, &state,
-        recorder ? &*recorder : nullptr);
-    search::VectorEval value = objective_vector(ev, spec);
-    std::optional<obs::SolveRecord> rec;
-    if (recorder && recorder->has_record()) rec = recorder->take_record();
-    store.insert(e, std::move(ev), std::move(state), std::move(rec));
+    entry.evaluation = problem.evaluate_with(
+        e, solver, *ws, &options.mva, anchor ? &anchor->state : nullptr,
+        &entry.state, recorder ? &*recorder : nullptr);
+    search::VectorEval value = objective_vector(entry.evaluation, spec);
+    if (recorder && recorder->has_record()) {
+      entry.solve_record = recorder->take_record();
+    }
+    store.insert(e, std::move(entry));
     return value;
   };
 
@@ -316,11 +241,10 @@ DimensionResult dimension_windows(const WindowProblem& problem,
   ps.upper_bound.assign(static_cast<std::size_t>(num_classes),
                         options.max_window);
   ps.max_step_reductions = options.max_step_reductions;
+  ps.max_evaluations = options.max_evaluations;
   if (!options.initial_step.empty()) {
     ps.initial_step = options.initial_step;
   }
-  ps.cache = &cache;
-  ps.pool = pool.get();
   ps.spans = options.spans;
   ps.cancel = options.cancel;
   if (warm) {
@@ -338,6 +262,7 @@ DimensionResult dimension_windows(const WindowProblem& problem,
     ps.on_probe = [&](std::size_t step, const search::Point& p,
                       const search::VectorEval& eval, bool revisit) {
       const double value = search::scalarize(eval);
+      const EvaluationStore::Entry* entry = store.find(p);
       if (options.trace != nullptr) {
         obs::TraceRecord rec;
         rec.step = step;
@@ -345,28 +270,31 @@ DimensionResult dimension_windows(const WindowProblem& problem,
         rec.objective = value;
         rec.objective_vector = eval.objectives;
         rec.violation = eval.violation;
-        if (const auto ev = store.find(p)) rec.power = ev->power;
+        if (entry != nullptr) rec.power = entry->evaluation.power;
         rec.solver = solver_name;
         rec.cache_hit = revisit;
-        // The anchor the *serial* replay seeds from at this probe (the
-        // deterministic reading; a speculative evaluation may have used
-        // an earlier anchor set).  Revisits evaluate nothing.
-        if (warm && !revisit) rec.anchor = store.nearest_anchor_windows(p);
+        // The anchor this probe's evaluation was seeded from; revisits
+        // evaluate nothing.
+        if (entry != nullptr && !revisit && entry->anchor != nullptr) {
+          rec.anchor = entry->anchor->evaluation.windows;
+        }
         options.trace->append(std::move(rec));
       }
       if (observe_solves) {
         // Each fresh evaluation's record enters the log exactly once, at
-        // its serial-replay probe; revisits evaluated nothing, so they
-        // log nothing and synthesize a childless cache-hit probe span.
-        std::optional<obs::SolveRecord> rec;
-        if (!revisit) rec = store.find_record(p);
-        if (options.convergence != nullptr && rec) {
+        // its probe; revisits evaluated nothing, so they log nothing and
+        // synthesize a childless cache-hit probe span.
+        const obs::SolveRecord* rec =
+            entry != nullptr && !revisit && entry->solve_record
+                ? &*entry->solve_record
+                : nullptr;
+        if (options.convergence != nullptr && rec != nullptr) {
           options.convergence->append(*rec);
         }
         if (spans_on) {
           replay_cursor_us = synthesize_probe_spans(
               *options.spans, replay_track, replay_cursor_us, step, p, value,
-              revisit, rec ? &*rec : nullptr);
+              revisit, rec);
         }
       }
     };
@@ -376,7 +304,6 @@ DimensionResult dimension_windows(const WindowProblem& problem,
   {
     obs::SpanTracer::Scope search_span(options.spans, "search");
     search_span.arg("solver", solver_name);
-    search_span.arg("threads", static_cast<std::int64_t>(pool_size));
     ps_result =
         search::vector_pattern_search(objective, std::move(initial), ps);
     search_span.arg("evaluations",
@@ -396,8 +323,8 @@ DimensionResult dimension_windows(const WindowProblem& problem,
   // The best point was already evaluated inside the objective; reuse it
   // rather than re-running the evaluator.  (The store can only miss when
   // the budget did not even cover the initial point.)
-  if (const auto cached = store.find(ps_result.best)) {
-    result.evaluation = *cached;
+  if (const EvaluationStore::Entry* cached = store.find(ps_result.best)) {
+    result.evaluation = cached->evaluation;
   } else {
     result.evaluation.windows = ps_result.best;
   }
@@ -420,13 +347,15 @@ DimensionResult dimension_windows(const WindowProblem& problem,
                 ".runs")
         .add();
     reg.gauge("windim.violation").record_max(result.violation);
-    reg.counter("search.probes").add(cache.probes());
-    reg.counter("search.cache_hits").add(cache.hits());
-    reg.counter("search.cache_misses").add(cache.misses());
-    reg.counter("search.evaluations").add(cache.evaluations());
-    reg.counter("search.budget_consumed").add(cache.misses());
+    reg.counter("search.probes").add(ps_result.evaluations +
+                                     ps_result.cache_hits +
+                                     ps_result.exhausted_probes);
+    reg.counter("search.cache_hits").add(ps_result.cache_hits);
+    reg.counter("search.cache_misses").add(ps_result.evaluations);
+    reg.counter("search.evaluations").add(ps_result.evaluations);
+    reg.counter("search.budget_consumed").add(ps_result.evaluations);
     reg.counter("search.budget_exhausted_probes").add(
-        cache.exhausted_probes());
+        ps_result.exhausted_probes);
     reg.counter("search.base_points").add(ps_result.base_points.size());
     reg.gauge("windim.throughput").record_max(result.evaluation.throughput);
     reg.gauge("windim.delay").record_max(result.evaluation.mean_delay);

@@ -5,6 +5,13 @@
 // (WindowProblem): the objective is F(E) = 1/P(E), the initial point is
 // Kleinrock's hop-count vector (E_r = number of hops of chain r, thesis
 // 4.4/4.6), and the search runs over integer windows bounded below by 1.
+//
+// A run is sequential: one memoized Hooke-Jeeves search on the calling
+// thread, each evaluation warm-started from the nearest base point
+// accepted so far.  F(E) is therefore a pure function of E and the
+// options, and every trace, log and counter of a run is identical on
+// any machine.  The only parallelism is inside a solve: the chain-block
+// sweeps of DimensionOptions::solver_pool, bit-identical to serial.
 #pragma once
 
 #include <string>
@@ -21,6 +28,10 @@ class ConvergenceLog;
 class SearchTrace;
 class SpanTracer;
 }  // namespace windim::obs
+
+namespace windim::util {
+class ThreadPool;  // util/thread_pool.h
+}  // namespace windim::util
 
 namespace windim::core {
 
@@ -59,62 +70,43 @@ struct DimensionOptions {
   /// Pattern-search step schedule (see search::PatternSearchOptions).
   std::vector<int> initial_step;
   int max_step_reductions = 4;
-  /// Worker threads for speculative probe evaluation: 1 keeps the run
-  /// fully sequential, N > 1 evaluates the coordinate probes of each
-  /// exploratory/pattern move concurrently on a pool of N workers, and
-  /// 0 or a negative value resolves to the hardware concurrency.  The
-  /// optimum and trajectory are identical to the sequential run (the
-  /// serial Hooke-Jeeves acceptance order is replayed over the shared
-  /// memo); only the evaluation/cache-hit counts may differ, because
-  /// speculative probes that the serial order never needs still run.
-  int threads = 1;
-  /// Worker threads for the chain-block-parallel MVA sweeps INSIDE each
-  /// evaluation (SolveHints::pool): 1 keeps every sweep serial, N > 1
-  /// shares one pool of N workers across the run's solves, 0 or a
-  /// negative value resolves to the hardware concurrency.  The sweep
-  /// partitioning is bit-identical to the serial sweep for any pool
-  /// size, so this is purely a wall-clock knob for continental-scale
-  /// models; it composes with `threads` (speculative probes), though
-  /// running both > 1 oversubscribes small machines.
-  int solver_threads = 1;
+  /// Optional caller-owned pool for the chain-block-parallel MVA sweeps
+  /// inside each evaluation (SolveHints::pool).  The sweep partitioning
+  /// is bit-identical to the serial sweep for any pool size, so this is
+  /// purely a wall-clock knob for continental-scale models (it engages
+  /// from solver/heuristic_mva.cc's chain threshold up).  Null keeps
+  /// every sweep serial.
+  util::ThreadPool* solver_pool = nullptr;
   /// Seed each heuristic-MVA evaluation from the converged state of the
   /// nearest already-accepted base point (fewer fixed-point iterations
-  /// for the neighboring probes pattern search generates).  Base points
-  /// form the same deterministic trajectory in serial and parallel runs,
-  /// so seeds — hence results — do not depend on thread timing.  Only
-  /// the heuristic-MVA evaluator uses this.
+  /// for the neighboring probes pattern search generates).  Only the
+  /// heuristic-MVA evaluator uses this.
   bool warm_start = true;
-  /// Budget of fresh objective evaluations for the whole run (shared by
-  /// speculative probes).  On exhaustion the search returns its best
-  /// point so far with DimensionResult::budget_exhausted set instead of
-  /// throwing.
+  /// Budget of fresh objective evaluations for the whole run.  On
+  /// exhaustion the search returns its best point so far with
+  /// DimensionResult::budget_exhausted set instead of throwing.
   std::size_t max_evaluations = 1'000'000;
-  /// Optional shared workspace pool.  dimension_windows spawns fresh
-  /// worker threads per run, so thread-local workspaces would be torn
-  /// down between runs; a caller-owned pool keeps the warm arenas alive
-  /// across runs (zero allocations per evaluation after the first run —
-  /// what bench_perf_dimension's allocation gate measures).  Null = a
-  /// pool private to this run.
+  /// Optional shared workspace pool.  A caller-owned pool keeps the
+  /// warm arenas alive across runs (zero allocations per evaluation
+  /// after the first run — what bench_perf_dimension's allocation gate
+  /// measures).  Null = a pool private to this run.
   solver::WorkspacePool* workspaces = nullptr;
-  /// Optional structured search trace: one record per serial-replay
-  /// probe (step, windows, F, P, solver, deterministic cache-hit flag,
-  /// warm-start anchor, thread ordinal), byte-identical across thread
-  /// counts; see obs/trace.h.  Null (the default) skips all trace
-  /// bookkeeping.
+  /// Optional structured search trace: one record per probe (step,
+  /// windows, F, P, solver, cache-hit flag, warm-start anchor); see
+  /// obs/trace.h.  Null (the default) skips all trace bookkeeping.
   obs::SearchTrace* trace = nullptr;
   /// Optional per-solve convergence log (obs/convergence.h): every
   /// fresh evaluation's SolveRecord — residual stream, classification —
-  /// appended in serial-replay order, so record order and content are
-  /// thread-count independent.  Null skips all recording.
+  /// appended in probe order.  Null skips all recording.
   obs::ConvergenceLog* convergence = nullptr;
   /// Optional hierarchical span tracer (obs/span.h).  The search phase
-  /// opens a real span on the calling thread; each serial-replay probe
-  /// synthesizes its probe -> solve -> iterate subtree onto a virtual
-  /// "replay" track, keeping the trace byte-identical across thread
-  /// counts once timestamps are normalized.  Null skips all tracing.
+  /// opens a real span on the calling thread; each probe synthesizes
+  /// its probe -> solve -> iterate subtree onto a virtual "replay"
+  /// track, so the trace is identical across runs once timestamps are
+  /// normalized.  Null skips all tracing.
   obs::SpanTracer* spans = nullptr;
   /// Cooperative deadline/cancellation token (util/cancel.h), polled
-  /// before every serial-replay probe and once per MVA sweep.  On
+  /// before every probe and once per MVA sweep.  On
   /// expiry the search returns its best point so far with
   /// DimensionResult::cancelled set (same graceful unwind as budget
   /// exhaustion); a token that expires mid-solve aborts that solve via

@@ -10,8 +10,8 @@
 // floor's optimum.  Feasible optima pass a dominance filter (maximize
 // power AND fairness) and the surviving points form a deterministic
 // front: the scan order, the per-solve trajectories, and therefore the
-// byte-exact serialized front are independent of thread counts, and
-// every point records the initial windows that reproduce it with a
+// byte-exact serialized front are pure functions of the problem and
+// options, and every point records the initial windows that reproduce it with a
 // single constrained dimension_windows call.
 #pragma once
 
@@ -25,8 +25,8 @@
 namespace windim::core {
 
 struct ParetoOptions {
-  /// Per-solve engine configuration (evaluator, solver, bounds, threads,
-  /// budget, workspaces, cancel...).  `base.objective`, `base.
+  /// Per-solve engine configuration (evaluator, solver, bounds, sweep
+  /// pool, budget, workspaces, cancel...).  `base.objective`, `base.
   /// min_fairness` and `base.initial_windows` are overridden by the
   /// scan; everything else applies to every solve.
   DimensionOptions base;

@@ -321,7 +321,6 @@ TEST(ConvergenceLog, DimensioningRunIsMonotoneOrClassified) {
                                     net::four_class_traffic(6, 6, 6, 12));
   ConvergenceLog log;
   core::DimensionOptions options;
-  options.threads = 2;
   options.convergence = &log;
   const core::DimensionResult result =
       core::dimension_windows(problem, options);
@@ -329,10 +328,8 @@ TEST(ConvergenceLog, DimensioningRunIsMonotoneOrClassified) {
 
   const std::vector<SolveRecord> records = log.records();
   ASSERT_GT(records.size(), 0u);
-  // Every appended record corresponds to a distinct replayed probe;
-  // speculative evaluations that the serial replay never consumed are
-  // counted by the search but never surface as records.
-  EXPECT_LE(log.total_appended(),
+  // Exactly one record per fresh evaluation; revisits log nothing.
+  EXPECT_EQ(log.total_appended(),
             static_cast<std::uint64_t>(result.objective_evaluations));
   for (const SolveRecord& r : records) {
     EXPECT_EQ(r.classification, obs::classify(r));

@@ -1,6 +1,6 @@
-// Tests for the parallel, warm-started window evaluation engine: the
-// thread pool, the shared evaluation cache, warm-started heuristic MVA,
-// and the dimensioning determinism / budget-exhaustion guarantees.
+// Tests for the warm-started window evaluation engine: the thread pool,
+// warm-started heuristic MVA, and the dimensioning determinism /
+// budget-exhaustion guarantees.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,7 @@
 #include "mva/approx.h"
 #include "net/examples.h"
 #include "qn/cyclic.h"
-#include "search/eval_cache.h"
+#include "sweep_fixture.h"
 #include "util/thread_pool.h"
 #include "windim/dimension.h"
 #include "windim/problem.h"
@@ -67,119 +67,6 @@ TEST(ThreadPoolTest, ResolveThreadCountCapsAtHardware) {
   EXPECT_EQ(util::resolve_thread_count(-3), hw);
   EXPECT_EQ(util::resolve_thread_count(1), 1u);
   EXPECT_LE(util::resolve_thread_count(1024), hw);
-}
-
-// ----------------------------------------------------------------- eval cache
-
-TEST(EvalCacheTest, LookupOrReserveClassifiesAndCountsExactly) {
-  search::EvalCache cache;
-  const auto miss = cache.lookup_or_reserve({1, 2});
-  EXPECT_EQ(miss.outcome, search::EvalCache::Outcome::kReserved);
-  cache.insert({1, 2}, 3.5);
-  const auto hit = cache.lookup_or_reserve({1, 2});
-  ASSERT_EQ(hit.outcome, search::EvalCache::Outcome::kHit);
-  EXPECT_DOUBLE_EQ(hit.value.scalar_value(), 3.5);
-  EXPECT_EQ(cache.evaluations(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.probes(), 2u);
-}
-
-TEST(EvalCacheTest, BudgetReservationIsPermanent) {
-  search::EvalCache cache(2);
-  EXPECT_EQ(cache.lookup_or_reserve({1}).outcome,
-            search::EvalCache::Outcome::kReserved);
-  EXPECT_EQ(cache.lookup_or_reserve({2}).outcome,
-            search::EvalCache::Outcome::kReserved);
-  EXPECT_EQ(cache.lookup_or_reserve({3}).outcome,
-            search::EvalCache::Outcome::kExhausted);
-  EXPECT_EQ(cache.lookup_or_reserve({4}).outcome,
-            search::EvalCache::Outcome::kExhausted);
-  // Abandoning a reservation releases the point but not the budget slot.
-  cache.abandon({1});
-  EXPECT_EQ(cache.lookup_or_reserve({1}).outcome,
-            search::EvalCache::Outcome::kExhausted);
-  EXPECT_EQ(cache.evaluations(), 2u);
-  EXPECT_EQ(cache.exhausted_probes(), 3u);
-}
-
-TEST(EvalCacheTest, ConcurrentReservationsNeverExceedBudget) {
-  search::EvalCache cache(100);
-  util::ThreadPool pool(4);
-  std::atomic<std::size_t> granted{0};
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 300; ++i) {
-    jobs.push_back([&, i] {
-      const auto r = cache.lookup_or_reserve({i});  // 300 distinct points
-      if (r.outcome == search::EvalCache::Outcome::kReserved) {
-        ++granted;
-        cache.insert({i}, 0.0);
-      }
-    });
-  }
-  pool.run_batch(std::move(jobs));
-  EXPECT_EQ(granted.load(), 100u);
-  EXPECT_EQ(cache.evaluations(), 100u);
-  EXPECT_EQ(cache.exhausted_probes(), 200u);
-}
-
-// Satellite regression (PR 4): the old split lookup()/try_reserve() API
-// let two threads both miss the same point — stats double-counted and
-// the point was evaluated twice.  lookup_or_reserve() classifies
-// atomically with the shard insert: hammering 100 distinct points with
-// 3 probes each from 4 threads must yield EXACTLY 100 misses and 200
-// hits, under every interleaving (late probers block until the value
-// lands, then count as hits).
-TEST(EvalCacheTest, ExactStatsUnderConcurrentHammer) {
-  search::EvalCache cache;
-  util::ThreadPool pool(4);
-  std::atomic<std::size_t> evaluations_run{0};
-  std::vector<std::function<void()>> jobs;
-  for (int probe = 0; probe < 3; ++probe) {
-    for (int i = 0; i < 100; ++i) {
-      jobs.push_back([&, i] {
-        const search::Point p = {i, i + 1};
-        const auto r = cache.lookup_or_reserve(p);
-        if (r.outcome == search::EvalCache::Outcome::kReserved) {
-          ++evaluations_run;
-          cache.insert(p, static_cast<double>(i));
-        } else {
-          ASSERT_EQ(r.outcome, search::EvalCache::Outcome::kHit);
-          EXPECT_DOUBLE_EQ(r.value.scalar_value(), static_cast<double>(i));
-        }
-      });
-    }
-  }
-  pool.run_batch(std::move(jobs));
-  EXPECT_EQ(evaluations_run.load(), 100u);
-  EXPECT_EQ(cache.misses(), 100u);
-  EXPECT_EQ(cache.hits(), 200u);
-  EXPECT_EQ(cache.probes(), 300u);
-  EXPECT_EQ(cache.exhausted_probes(), 0u);
-}
-
-TEST(EvalCacheTest, AbandonWakesWaitersAndAllowsReReservation) {
-  search::EvalCache cache;
-  util::ThreadPool pool(2);
-  const search::Point p = {7};
-  ASSERT_EQ(cache.lookup_or_reserve(p).outcome,
-            search::EvalCache::Outcome::kReserved);
-  std::atomic<bool> reserved_again{false};
-  std::vector<std::function<void()>> jobs;
-  jobs.push_back([&] {
-    // Blocks until the abandon below, then re-classifies as a miss.
-    const auto r = cache.lookup_or_reserve(p);
-    if (r.outcome == search::EvalCache::Outcome::kReserved) {
-      reserved_again = true;
-      cache.insert(p, 1.0);
-    }
-  });
-  jobs.push_back([&] { cache.abandon(p); });
-  pool.run_batch(std::move(jobs));
-  EXPECT_TRUE(reserved_again.load());
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.lookup_or_reserve(p).outcome,
-            search::EvalCache::Outcome::kHit);
 }
 
 // ------------------------------------------------------------ warm-start MVA
@@ -270,22 +157,20 @@ void expect_same_result(const core::DimensionResult& a,
               1e-9 * std::max(1.0, std::abs(a.evaluation.power)));
 }
 
-TEST(DimensionEngineTest, ThreadedRunMatchesSerialTwoClass) {
-  const core::WindowProblem problem = two_class_problem();
-  core::DimensionOptions serial;
-  core::DimensionOptions threaded;
-  threaded.threads = 4;
-  expect_same_result(dimension_windows(problem, serial),
-                     dimension_windows(problem, threaded));
-}
-
-TEST(DimensionEngineTest, ThreadedRunMatchesSerialFourClass) {
-  const core::WindowProblem problem = four_class_problem();
-  core::DimensionOptions serial;
-  core::DimensionOptions threaded;
-  threaded.threads = 4;
-  expect_same_result(dimension_windows(problem, serial),
-                     dimension_windows(problem, threaded));
+TEST(DimensionEngineTest, SweepPoolRunMatchesSerial) {
+  // Chain-block-parallel sweeps are the one parallel axis of a run; on a
+  // model past the block threshold they must not move any result bit.
+  const core::WindowProblem problem = test::sweep_problem();
+  const core::DimensionResult serial =
+      dimension_windows(problem, test::sweep_options(nullptr));
+  util::ThreadPool pool(4);
+  const core::DimensionResult pooled =
+      dimension_windows(problem, test::sweep_options(&pool));
+  expect_same_result(serial, pooled);
+  EXPECT_EQ(serial.evaluation.power, pooled.evaluation.power);
+  EXPECT_EQ(serial.objective_evaluations, pooled.objective_evaluations);
+  EXPECT_EQ(serial.cache_hits, pooled.cache_hits);
+  EXPECT_EQ(serial.objective_evaluations, test::kSweepEvaluations);
 }
 
 TEST(DimensionEngineTest, WarmStartMatchesColdStart) {

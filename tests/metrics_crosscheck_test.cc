@@ -2,9 +2,8 @@
 // registry enabled and assert the engine's bookkeeping is internally
 // consistent — evaluations == cache misses, hits + misses == probes
 // (modulo budget-exhausted probes, reported separately), budget
-// consumed == misses — on two fixtures.  These invariants only hold
-// because EvalCache classifies probes atomically with the shard insert;
-// the old split lookup()/reserve() API double-counted under races.
+// consumed == misses — on the thesis fixtures and on a generated model
+// solved with a chain-block sweep pool.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +11,8 @@
 
 #include "net/examples.h"
 #include "obs/metrics.h"
+#include "sweep_fixture.h"
+#include "util/thread_pool.h"
 #include "windim/dimension.h"
 #include "windim/problem.h"
 
@@ -104,14 +105,13 @@ TEST_F(MetricsCrosscheckTest, InvariantsHoldUnderBudgetExhaustion) {
             snap.counter_or("search.probes"));
 }
 
-TEST_F(MetricsCrosscheckTest, InvariantsHoldWithSpeculativeThreads) {
-  const core::WindowProblem problem(
-      net::canada_topology(), net::four_class_traffic(6.0, 6.0, 6.0, 12.0));
-  core::DimensionOptions options;
-  options.threads = 4;
-  const core::DimensionResult result = dimension_windows(problem, options);
-  // Speculation may change how many probes run, never the accounting
-  // identities.
+TEST_F(MetricsCrosscheckTest, InvariantsHoldWithSweepPool) {
+  const core::WindowProblem problem = test::sweep_problem();
+  util::ThreadPool pool(4);
+  const core::DimensionResult result =
+      dimension_windows(problem, test::sweep_options(&pool));
+  // Parallel sweeps inside each solve leave the accounting identities
+  // intact (the budget runs out here, so a refused probe is counted).
   expect_consistent_accounting(result,
                                obs::MetricsRegistry::global().snapshot());
 }

@@ -1,8 +1,8 @@
 // The observability layer: MetricsRegistry semantics (cross-thread
 // merge, snapshot isolation, reset, disabled-mode no-ops), the JSON
 // writer, the search-trace ring, and the determinism contract — the
-// JSONL trace of a dimensioning run is byte-identical for serial,
-// --threads 4 and --threads 0 (hardware) runs.
+// JSONL trace of a dimensioning run is byte-identical with and without
+// a chain-block sweep pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sweep_fixture.h"
 #include "util/thread_pool.h"
 #include "windim/dimension.h"
 #include "windim/problem.h"
@@ -295,7 +296,7 @@ TEST(SearchTraceTest, JsonlHasFixedFieldOrder) {
             "\"anchor\":[2,4],\"thread\":0}\n");
 }
 
-TEST(SearchTraceTest, ClearResetsRecordsAndOrdinals) {
+TEST(SearchTraceTest, ClearResetsRecords) {
   obs::SearchTrace trace;
   trace.append(obs::TraceRecord{});
   trace.clear();
@@ -305,37 +306,35 @@ TEST(SearchTraceTest, ClearResetsRecordsAndOrdinals) {
 
 // ------------------------------------------- trace determinism contract
 
-std::string trace_of_run(const core::WindowProblem& problem, int threads,
+std::string trace_of_run(const core::WindowProblem& problem,
+                         core::DimensionOptions options,
                          core::DimensionResult* result_out = nullptr) {
   obs::SearchTrace trace;
-  core::DimensionOptions options;
-  options.threads = threads;
   options.trace = &trace;
   const core::DimensionResult result = dimension_windows(problem, options);
   if (result_out != nullptr) *result_out = result;
   return trace.to_jsonl();
 }
 
-TEST(SearchTraceTest, DimensionTraceIsByteIdenticalAcrossThreadCounts) {
+TEST(SearchTraceTest, DimensionTraceHasOneRecordPerProbe) {
   const core::WindowProblem problem(net::canada_topology(),
                                     net::two_class_traffic(20.0, 20.0));
-  core::DimensionResult serial_result;
-  const std::string serial = trace_of_run(problem, 1, &serial_result);
-  ASSERT_FALSE(serial.empty());
-  // One record per serially resolved probe: evaluations + revisits.
+  core::DimensionResult result;
+  const std::string trace = trace_of_run(problem, {}, &result);
+  ASSERT_FALSE(trace.empty());
+  // One record per resolved probe: evaluations + revisits.
   EXPECT_EQ(static_cast<std::size_t>(
-                std::count(serial.begin(), serial.end(), '\n')),
-            serial_result.objective_evaluations + serial_result.cache_hits);
-  EXPECT_EQ(serial, trace_of_run(problem, 4));
-  EXPECT_EQ(serial, trace_of_run(problem, 0));  // hardware concurrency
+                std::count(trace.begin(), trace.end(), '\n')),
+            result.objective_evaluations + result.cache_hits);
 }
 
-TEST(SearchTraceTest, FourClassTraceIsByteIdenticalAcrossThreadCounts) {
-  const core::WindowProblem problem(
-      net::canada_topology(), net::four_class_traffic(6.0, 6.0, 6.0, 12.0));
-  const std::string serial = trace_of_run(problem, 1);
+TEST(SearchTraceTest, TraceIsByteIdenticalWithAndWithoutSweepPool) {
+  const core::WindowProblem problem = test::sweep_problem();
+  const std::string serial =
+      trace_of_run(problem, test::sweep_options(nullptr));
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, trace_of_run(problem, 4));
+  util::ThreadPool pool(4);
+  EXPECT_EQ(serial, trace_of_run(problem, test::sweep_options(&pool)));
 }
 
 TEST(SearchTraceTest, TraceRecordsCarrySolverAndAnchors) {
@@ -352,7 +351,6 @@ TEST(SearchTraceTest, TraceRecordsCarrySolverAndAnchors) {
     EXPECT_EQ(records[i].step, i);
     EXPECT_EQ(records[i].solver, "heuristic-mva");
     EXPECT_EQ(records[i].windows.size(), 2u);
-    EXPECT_EQ(records[i].thread, 0u);  // appended by the search thread
   }
   // The initial probe is evaluated cold: no anchor yet, not a revisit.
   EXPECT_FALSE(records.front().cache_hit);

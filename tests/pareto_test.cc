@@ -8,6 +8,8 @@
 #include <stdexcept>
 
 #include "search/exhaustive.h"
+#include "sweep_fixture.h"
+#include "util/thread_pool.h"
 #include "windim/windim.h"
 
 namespace windim::core {
@@ -44,14 +46,16 @@ TEST(ParetoFrontTest, FourClassFrontIsNonDominatedAndSorted) {
   }
 }
 
-TEST(ParetoFrontTest, SerializedFrontIsThreadCountInvariant) {
-  const WindowProblem problem = four_class_problem();
+TEST(ParetoFrontTest, SerializedFrontIsSweepPoolInvariant) {
+  const WindowProblem problem = test::sweep_problem();
   ParetoOptions serial;
-  serial.base.threads = 1;
-  ParetoOptions threaded;
-  threaded.base.threads = 8;
-  EXPECT_EQ(to_json(pareto_front(problem, serial)),
-            to_json(pareto_front(problem, threaded)));
+  serial.base = test::sweep_options(nullptr);
+  serial.num_points = 2;
+  util::ThreadPool pool(4);
+  ParetoOptions pooled = serial;
+  pooled.base.solver_pool = &pool;
+  const std::string serial_json = to_json(pareto_front(problem, serial));
+  EXPECT_EQ(serial_json, to_json(pareto_front(problem, pooled)));
 }
 
 TEST(ParetoFrontTest, EveryPointReproducesFromItsRecordedSeed) {

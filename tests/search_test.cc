@@ -4,9 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
-#include <thread>
 
-#include "search/eval_cache.h"
 #include "search/exhaustive.h"
 #include "search/pattern_search.h"
 
@@ -123,7 +121,10 @@ TEST(PatternSearchTest, BudgetExhaustionReturnsPartialResult) {
   const PatternSearchResult r = pattern_search(
       [](const Point& p) { return quadratic(p, {50, 50}); }, {0, 0}, options);
   EXPECT_TRUE(r.budget_exhausted);
-  EXPECT_LE(r.evaluations, 3u);
+  // Fresh evaluations spend the budget; the first refused probe ends
+  // the search.
+  EXPECT_EQ(r.evaluations, 3u);
+  EXPECT_EQ(r.exhausted_probes, 1u);
   // Best-so-far is never worse than the initial point.
   EXPECT_LE(r.best_value, quadratic({0, 0}, {50, 50}));
   EXPECT_FALSE(r.base_points.empty());
@@ -135,6 +136,7 @@ TEST(PatternSearchTest, BudgetTooSmallForInitialPoint) {
   const PatternSearchResult r = pattern_search(
       [](const Point& p) { return quadratic(p, {50, 50}); }, {4, 4}, options);
   EXPECT_TRUE(r.budget_exhausted);
+  EXPECT_EQ(r.exhausted_probes, 1u);
   EXPECT_EQ(r.best, (Point{4, 4}));
   EXPECT_TRUE(std::isinf(r.best_value));
 }
@@ -143,52 +145,7 @@ TEST(PatternSearchTest, AmpleBudgetNeverReportsExhaustion) {
   const PatternSearchResult r = pattern_search(
       [](const Point& p) { return quadratic(p, {5, 5}); }, {0, 0});
   EXPECT_FALSE(r.budget_exhausted);
-}
-
-TEST(EvalCacheTest, ShardCountDerivesFromHardwareAndStaysClamped) {
-  // Default: hardware_concurrency x 4, power of two, clamped [16, 256].
-  const EvalCache derived;
-  const std::size_t n = derived.num_shards();
-  EXPECT_GE(n, 16u);
-  EXPECT_LE(n, 256u);
-  EXPECT_EQ(n & (n - 1), 0u) << "shard count must be a power of two";
-  const std::size_t cores = std::thread::hardware_concurrency();
-  if (cores > 0) {
-    EXPECT_GE(n, std::min<std::size_t>(256, cores));  // >= 1 shard per core
-  }
-  // Explicit counts are honoured (rounded up to a power of two, clamped).
-  EXPECT_EQ(EvalCache(SIZE_MAX, 16).num_shards(), 16u);
-  EXPECT_EQ(EvalCache(SIZE_MAX, 17).num_shards(), 32u);
-  EXPECT_EQ(EvalCache(SIZE_MAX, 1).num_shards(), 16u);
-  EXPECT_EQ(EvalCache(SIZE_MAX, 100000).num_shards(), 256u);
-  // Statistics invariants hold with a nonstandard shard count.
-  EvalCache cache(SIZE_MAX, 64);
-  const auto r = cache.lookup_or_reserve({1, 2, 3});
-  EXPECT_EQ(r.outcome, EvalCache::Outcome::kReserved);
-  cache.insert({1, 2, 3}, 7.0);
-  const auto hit = cache.lookup_or_reserve({1, 2, 3});
-  EXPECT_EQ(hit.outcome, EvalCache::Outcome::kHit);
-  EXPECT_EQ(hit.value.scalar_value(), 7.0);
-  EXPECT_EQ(cache.probes(), cache.hits() + cache.misses());
-}
-
-TEST(PatternSearchTest, SharedCacheCarriesValuesAcrossSearches) {
-  EvalCache cache;
-  std::size_t calls = 0;
-  const Objective f = [&](const Point& p) {
-    ++calls;
-    return quadratic(p, {3, 3});
-  };
-  PatternSearchOptions options;
-  options.cache = &cache;
-  const PatternSearchResult first = pattern_search(f, {0, 0}, options);
-  const std::size_t calls_after_first = calls;
-  // A second search over the same region is served mostly from the memo.
-  const PatternSearchResult second = pattern_search(f, {1, 1}, options);
-  EXPECT_EQ(first.best, second.best);
-  EXPECT_LT(calls - calls_after_first, calls_after_first);
-  // Per-search counters report deltas, not cache totals.
-  EXPECT_EQ(first.evaluations + second.evaluations, calls);
+  EXPECT_EQ(r.exhausted_probes, 0u);
 }
 
 TEST(PatternSearchTest, UnitStepsReportNoStepReductions) {
@@ -197,19 +154,6 @@ TEST(PatternSearchTest, UnitStepsReportNoStepReductions) {
   const PatternSearchResult r = pattern_search(
       [](const Point& p) { return quadratic(p, {6, 2}); }, {0, 0});
   EXPECT_EQ(r.step_reductions, 0);
-}
-
-TEST(PatternSearchTest, SpeculativePoolMatchesSerialSearch) {
-  util::ThreadPool pool(4);
-  const Point target{17, -6};
-  const Objective f = [&](const Point& p) { return quadratic(p, target); };
-  const PatternSearchResult serial = pattern_search(f, {0, 0});
-  PatternSearchOptions options;
-  options.pool = &pool;
-  const PatternSearchResult parallel = pattern_search(f, {0, 0}, options);
-  EXPECT_EQ(serial.best, parallel.best);
-  EXPECT_DOUBLE_EQ(serial.best_value, parallel.best_value);
-  EXPECT_EQ(serial.base_points, parallel.base_points);
 }
 
 TEST(PatternSearchTest, OnNewBaseFiresInTrajectoryOrder) {
@@ -224,44 +168,35 @@ TEST(PatternSearchTest, OnNewBaseFiresInTrajectoryOrder) {
   }
 }
 
-TEST(PatternSearchTest, OnProbeStreamIsIdenticalAcrossSerialAndSpeculative) {
+TEST(PatternSearchTest, OnProbeStreamIndexesProbesAndMarksRevisits) {
   struct Probe {
     std::size_t step;
     Point point;
     double value;
     bool revisit;
-    bool operator==(const Probe&) const = default;
   };
   const Point target{11, -4};
-  const Objective f = [&](const Point& p) { return quadratic(p, target); };
-  auto probes_of = [&](util::ThreadPool* pool) {
-    std::vector<Probe> probes;
-    PatternSearchOptions options;
-    options.pool = pool;
-    options.on_probe = [&](std::size_t step, const Point& p, double v,
-                           bool revisit) {
-      probes.push_back({step, p, v, revisit});
-    };
-    (void)pattern_search(f, {0, 0}, options);
-    return probes;
+  std::vector<Probe> probes;
+  PatternSearchOptions options;
+  options.on_probe = [&](std::size_t step, const Point& p, double v,
+                         bool revisit) {
+    probes.push_back({step, p, v, revisit});
   };
-  const std::vector<Probe> serial = probes_of(nullptr);
-  util::ThreadPool pool(4);
-  const std::vector<Probe> speculative = probes_of(&pool);
-  EXPECT_EQ(serial, speculative);
+  (void)pattern_search([&](const Point& p) { return quadratic(p, target); },
+                       {0, 0}, options);
 
   // Probe indices are consecutive from zero, every point in bounds, and
   // `revisit` means exactly "seen earlier in this stream".
-  ASSERT_FALSE(serial.empty());
+  ASSERT_FALSE(probes.empty());
   std::set<Point> seen;
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].step, i);
-    EXPECT_DOUBLE_EQ(serial[i].value, quadratic(serial[i].point, target));
-    EXPECT_EQ(serial[i].revisit, !seen.insert(serial[i].point).second);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(probes[i].step, i);
+    EXPECT_DOUBLE_EQ(probes[i].value, quadratic(probes[i].point, target));
+    EXPECT_EQ(probes[i].revisit, !seen.insert(probes[i].point).second);
   }
-  EXPECT_FALSE(serial.front().revisit);
+  EXPECT_FALSE(probes.front().revisit);
   const auto revisits =
-      std::count_if(serial.begin(), serial.end(),
+      std::count_if(probes.begin(), probes.end(),
                     [](const Probe& p) { return p.revisit; });
   EXPECT_GT(revisits, 0);  // Hooke-Jeeves revisits points by construction
 }

@@ -1,14 +1,20 @@
 // Concurrency suite for `windim serve`: N client threads hammer one
 // Server and every reply must be BYTE-IDENTICAL to the answer a fresh
 // single-threaded server gives for the same request line — the
-// determinism contract (replies carry no wall-clock values, the engine
-// is serial-replay deterministic) made observable.  Also pins the cache
-// accounting identity hits + misses == compile lookups and the
-// per-connection reply ordering of the pipelined stream loop.
+// determinism contract (replies carry no wall-clock values, searches
+// are sequential) made observable.  Also pins the cache
+// accounting identity hits + misses == compile lookups, the
+// per-connection reply ordering of the pipelined stream loop, and (on
+// Linux) that a request's solver_threads cannot make the server spawn
+// threads.
 //
 // Runs under TSan in CI (the tsan job executes the full ctest suite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -174,6 +180,62 @@ TEST(ServeConcurrency, ConcurrentStreamsShareOneServer) {
   EXPECT_EQ(outputs[0], outputs[1]);
   EXPECT_EQ(outputs[0], outputs[2]);
 }
+
+#if defined(__linux__)
+/// Threads of this process right now (one /proc/self/task entry each).
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServeConcurrency, SolverThreadsRequestsSpawnNoThreads) {
+  // solver_threads only switches on the server's one shared sweep pool,
+  // so a client asking for 4096 cannot make the daemon spawn threads.
+  const std::size_t before = live_threads();
+  constexpr int kWorkers = 2;
+  serve::Server server(options_with(kWorkers));
+  const std::string spec = json_escape(
+      "node A\nnode B\nchannel A B 50\nclass e rate 20 path A B\n");
+  constexpr int kRequests = 8;
+  std::string input;
+  for (int i = 0; i < kRequests; ++i) {
+    input += "{\"op\":\"evaluate\",\"spec\":\"" + spec +
+             "\",\"windows\":[2],\"solver_threads\":4096,\"id\":" +
+             std::to_string(i) + "}\n";
+  }
+
+  std::atomic<bool> done{false};
+  std::size_t peak = 0;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      peak = std::max(peak, live_threads());
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  std::istringstream in(input);
+  std::ostringstream out;
+  EXPECT_EQ(server.serve_stream(in, out), 0);
+  done = true;
+  sampler.join();
+
+  const std::string replies = out.str();
+  int ok = 0;
+  for (std::size_t at = replies.find("\"ok\":true"); at != std::string::npos;
+       at = replies.find("\"ok\":true", at + 1)) {
+    ++ok;
+  }
+  EXPECT_EQ(ok, kRequests);
+  // Request workers + the hardware-sized sweep pool + the sampler, plus
+  // a little slack for runtime helpers.
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  constexpr std::size_t kSlack = 4;
+  EXPECT_LE(peak, before + kWorkers + hw + 1 + kSlack);
+}
+#endif
 
 }  // namespace
 }  // namespace windim

@@ -2,8 +2,8 @@
 // contract, Chrome trace-event JSON structure (metadata first, complete
 // events with depth as the first arg), correctly nested depths per
 // track, and the headline determinism property — the span trace of a
-// dimensioning run is byte-identical across thread counts once
-// timestamps and durations are normalized.
+// dimensioning run is byte-identical with and without a chain-block
+// sweep pool once timestamps and durations are normalized.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -15,6 +15,8 @@
 #include "net/examples.h"
 #include "obs/json.h"
 #include "obs/span.h"
+#include "sweep_fixture.h"
+#include "util/thread_pool.h"
 #include "windim/windim.h"
 
 namespace windim {
@@ -55,13 +57,12 @@ std::string normalize_times(const std::string& json) {
   return out;
 }
 
-std::string traced_dimension_json(int threads) {
-  const core::WindowProblem problem(net::canada_topology(),
-                                    net::four_class_traffic(6, 6, 6, 12));
+std::string traced_dimension_json(
+    const core::WindowProblem& problem = core::WindowProblem(
+        net::canada_topology(), net::four_class_traffic(6, 6, 6, 12)),
+    core::DimensionOptions options = {}) {
   SpanTracer tracer;
   tracer.set_enabled(true);
-  core::DimensionOptions options;
-  options.threads = threads;
   options.spans = &tracer;
   const core::DimensionResult result =
       core::dimension_windows(problem, options);
@@ -112,7 +113,7 @@ TEST(SpanTracer, ScopesNestThroughTheThreadLocalStack) {
 }
 
 TEST(SpanTracer, TraceJsonIsValidChromeTraceFormat) {
-  const std::string json = traced_dimension_json(1);
+  const std::string json = traced_dimension_json();
   const auto parsed = obs::parse_json(json);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->is_object());
@@ -164,7 +165,7 @@ TEST(SpanTracer, TraceJsonIsValidChromeTraceFormat) {
 }
 
 TEST(SpanTracer, DepthsFormAValidForestPerTrack) {
-  const std::string json = traced_dimension_json(1);
+  const std::string json = traced_dimension_json();
   const auto parsed = obs::parse_json(json);
   ASSERT_TRUE(parsed.has_value());
   const obs::JsonValue* events = parsed->find("traceEvents");
@@ -191,13 +192,18 @@ TEST(SpanTracer, DepthsFormAValidForestPerTrack) {
   }
 }
 
-TEST(SpanTracer, TraceIsByteIdenticalAcrossThreadCounts) {
-  // The acceptance property: spans are only opened on deterministic
-  // paths and the probe subtree is synthesized from the serial replay,
-  // so --threads 1 and --threads 8 differ ONLY in measured times.
-  const std::string serial = normalize_times(traced_dimension_json(1));
-  const std::string parallel = normalize_times(traced_dimension_json(8));
-  EXPECT_EQ(serial, parallel);
+TEST(SpanTracer, TraceIsByteIdenticalWithAndWithoutSweepPool) {
+  // The acceptance property: spans are only opened on the search's own
+  // thread and the probe subtree is synthesized from the probe stream,
+  // so a run with a chain-block sweep pool differs from one without
+  // ONLY in measured times.
+  const core::WindowProblem problem = test::sweep_problem();
+  const std::string serial = normalize_times(
+      traced_dimension_json(problem, test::sweep_options(nullptr)));
+  util::ThreadPool pool(4);
+  const std::string pooled = normalize_times(
+      traced_dimension_json(problem, test::sweep_options(&pool)));
+  EXPECT_EQ(serial, pooled);
 }
 
 }  // namespace
