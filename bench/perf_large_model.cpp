@@ -8,11 +8,13 @@
 //       lengths at every station), kept here because the engine no
 //       longer has that path;
 //   (b) SoA kernel        — the registry's heuristic-mva over the
-//       station-major CompiledModel slab with the O(N*R) hoisted
-//       sweeps and a warm Workspace arena.
+//       station-major CompiledModel slab, with hoisted sweeps over the
+//       visited (chain, station) cells only and a warm Workspace arena.
 //
 // Both run the SAME fixed number of sweeps (tolerance 0), so the
-// comparison is per-sweep work, not convergence luck.
+// comparison is per-sweep work, not convergence luck.  The kernel's
+// absolute cost is also reported per unit of its work: ns per visited
+// cell per sweep (informational; no gate reads it).
 //
 // Gates (exit 1 on violation):
 //   - the 10k-chain kernel is at least 3x faster than the scalar path;
@@ -220,8 +222,10 @@ double median_ms(int reps, const Run& run) {
 
 struct SizeResult {
   int chains = 0;
+  std::size_t visited_cells = 0;  // (chain, station) pairs on a route
   double scalar_ms = 0.0;
   double kernel_ms = 0.0;
+  double ns_per_visited_cell = 0.0;  // kernel, per sweep
   double speedup = 0.0;
   double max_rel_diff = 0.0;
   std::uint64_t warm_allocations = 0;
@@ -260,6 +264,9 @@ SizeResult run_size(int chains, int sweeps, int reps) {
 
   SizeResult out;
   out.chains = chains;
+  for (int r = 0; r < compiled.num_chains(); ++r) {
+    out.visited_cells += compiled.stations_of(r).size();
+  }
   const std::uint64_t allocs_before =
       windim::solver::Workspace::total_heap_allocations();
   {
@@ -272,6 +279,9 @@ SizeResult run_size(int chains, int sweeps, int reps) {
   }
   out.warm_allocations =
       windim::solver::Workspace::total_heap_allocations() - allocs_before;
+  out.ns_per_visited_cell =
+      out.kernel_ms * 1e6 /
+      (static_cast<double>(out.visited_cells) * static_cast<double>(sweeps));
 
   std::vector<double> scalar_lambda;
   {
@@ -358,6 +368,10 @@ int main(int argc, char** argv) {
         "%6d chains: scalar %10.3f ms   kernel %8.3f ms   "
         "speedup %7.1fx   max rel diff %.2e\n",
         r.chains, r.scalar_ms, r.kernel_ms, r.speedup, r.max_rel_diff);
+    std::printf(
+        "              kernel %.2f ns per visited cell per sweep "
+        "(%zu visited cells)\n",
+        r.ns_per_visited_cell, r.visited_cells);
   }
 
   const bool identical_windows =
@@ -401,6 +415,10 @@ int main(int argc, char** argv) {
     w.value(r10k.kernel_ms);
     w.key("large_speedup_10k");
     w.value(r10k.speedup);
+    w.key("large_ns_per_visited_cell_1k");
+    w.value(r1k.ns_per_visited_cell);
+    w.key("large_ns_per_visited_cell_10k");
+    w.value(r10k.ns_per_visited_cell);
     w.key("large_max_rel_diff");
     w.value(std::max(r1k.max_rel_diff, r10k.max_rel_diff));
     w.key("large_warm_workspace_allocations");

@@ -44,7 +44,12 @@ session through every reply class the protocol defines:
                                       configured paths, WITHOUT dying;
  16. a SECOND concurrent connection evaluating successfully while the
      first stays open (connections share one server);
- 17. SIGTERM                      -> graceful drain, exit code 0, the
+ 17. clients that send a dimension and hang up before its reply
+                                   -> the failed reply writes end only
+                                      those connections: the daemon
+                                      keeps running and answers a new
+                                      connection's stats;
+ 18. SIGTERM                      -> graceful drain, exit code 0, the
                                       socket unlinked, and the
                                       --metrics-out final snapshot
                                       written as valid JSON.
@@ -67,6 +72,20 @@ import time
 
 SPEC = "node A\nnode B\nnode C\nchannel A B 50\nchannel B C 50\n" \
        "class east rate 20 path A B C\nclass west rate 10 path C B\n"
+
+
+def ring_spec(nodes, classes):
+    """A ring of `nodes` with `classes` classes of 2-4 hops: a dimension
+    run on it takes long enough that a client can hang up first."""
+    names = ["N%d" % i for i in range(nodes)]
+    lines = ["node %s" % n for n in names]
+    lines += ["channel %s %s 50" % (names[i], names[(i + 1) % nodes])
+              for i in range(nodes)]
+    for c in range(classes):
+        path = [names[(c + k) % nodes] for k in range(3 + c % 3)]
+        lines.append("class c%d rate %d path %s" %
+                     (c, 4 + c % 5, " ".join(path)))
+    return "\n".join(lines) + "\n"
 
 
 def fail(msg):
@@ -379,7 +398,62 @@ def main():
         rfile.close()
         sock.close()
 
-        # 17. Graceful SIGTERM drain: exit 0, socket unlinked, final
+        # 17. Clients that hang up before their reply: each sends a
+        # dimension and closes at once, so the daemon's reply write hits
+        # a closed socket.  That must end only those connections (no
+        # SIGPIPE death).  The flight recorder logs each request before
+        # its reply is written; wait for all three, then give the writes
+        # a moment to fail.
+        hangup_ids = ["901", "902", "903"]
+        for rid in hangup_ids:
+            hang = connect(sock_path)
+            hang.sendall(json.dumps({"op": "dimension",
+                                     "spec": ring_spec(8, 12),
+                                     "id": int(rid)}).encode() + b"\n")
+            hang.close()
+        def hangup_death():
+            try:
+                code = daemon.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                return
+            fail("daemon died (exit %d) after clients hung up before "
+                 "their replies" % code)
+
+        deadline = time.time() + 60.0
+        while True:
+            if daemon.poll() is not None:
+                hangup_death()
+            probe = connect(sock_path)
+            probe_file = probe.makefile("r")
+            probe.sendall(b'{"op": "dump", "id": 13}\n')
+            reply = probe_file.readline()
+            probe_file.close()
+            probe.close()
+            if not reply:
+                hangup_death()
+                fail("connection closed instead of replying to a dump")
+            done = set(d["id"] for d in json.loads(reply)["result"]["digests"]
+                       if d["op"] == "dimension")
+            if done.issuperset(hangup_ids):
+                break
+            if time.time() > deadline:
+                fail("hung-up dimensions never finished: %s" % sorted(done))
+            time.sleep(0.05)
+        time.sleep(0.3)
+        if daemon.poll() is not None:
+            hangup_death()
+        sock3 = connect(sock_path)
+        rfile3 = sock3.makefile("r")
+        r = roundtrip(sock3, rfile3, {"op": "stats", "id": 14})
+        if r.get("ok") is not True:
+            fail("stats after hung-up clients: %s" % r)
+        if r["result"]["serve"]["by_op"].get("dimension", 0) < 3:
+            fail("stats did not count the hung-up dimensions: %s" %
+                 r["result"]["serve"])
+        rfile3.close()
+        sock3.close()
+
+        # 18. Graceful SIGTERM drain: exit 0, socket unlinked, final
         # metrics snapshot written.
         daemon.send_signal(signal.SIGTERM)
         code = daemon.wait(timeout=30)

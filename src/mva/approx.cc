@@ -131,7 +131,11 @@ MvaSolution solve_approx_mva(const qn::NetworkModel& model,
   // busy[n] = sum_j lambda_j * D_jn feeds STEP 2's rho_other as
   // busy[n] - lambda_r * D_rn, and total[n] = sum_j N_jn replaces
   // STEP 3's per-(r,n) "others" sum (which never depended on r).  Both
-  // drop a sweep from O(N R^2) to O(N R).
+  // drop a sweep from O(N R^2) to O(N R).  This solver keeps the dense
+  // loops over every (chain, station) cell as the oracle; the kernel
+  // visits only the cells on the chains' routes, where every skipped
+  // term here is an exact +0.0 (zero demand, so zero time and queue),
+  // and keeps the same ascending order for the terms it adds.
   std::vector<double> busy(static_cast<std::size_t>(num_stations), 0.0);
   std::vector<double> total(static_cast<std::size_t>(num_stations), 0.0);
 

@@ -189,10 +189,15 @@ class StageSpan {
   std::uint64_t start_ = 0;
 };
 
-bool write_all(int fd, const std::string& data) {
+/// Writes one reply to a client socket.  MSG_NOSIGNAL turns a peer that
+/// already hung up into EPIPE/ECONNRESET instead of a process-wide
+/// SIGPIPE, so a vanished client ends only its own connection.  Returns
+/// false once the peer is gone (or on any other write error).
+bool send_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -1309,8 +1314,12 @@ int Server::serve_unix(const std::string& path,
       std::size_t scan = 0;
       // True while dropping the rest of an over-cap line.
       bool discarding = false;
+      // True once a reply could not be sent (EPIPE/ECONNRESET: the peer
+      // hung up): stop reading; in-flight requests finish unsent.
+      bool peer_gone = false;
       pump(
           [&](std::string& line) {
+            if (peer_gone) return ReadResult::kEof;
             const std::size_t nl = buffer.find('\n', scan);
             if (nl != std::string::npos) {
               line.assign(buffer, 0, nl);
@@ -1354,7 +1363,9 @@ int Server::serve_unix(const std::string& path,
             }
             return ReadResult::kEof;
           },
-          [&](const std::string& reply) { write_all(fd, reply + "\n"); });
+          [&](const std::string& reply) {
+            if (!peer_gone) peer_gone = !send_all(fd, reply + "\n");
+          });
       ::close(fd);
     });
   }

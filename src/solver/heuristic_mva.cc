@@ -29,19 +29,26 @@ constexpr int kMinChainsPerBlock = 64;
 //
 // Sweep structure (this file and mva/approx.cc changed in lockstep):
 // the per-(chain,station) O(R) inner reductions of STEPs 2 and 3 are
-// hoisted into per-station slabs computed once per sweep —
+// hoisted into per-station sums computed once per sweep —
 //   busy[n]  = sum_j lambda_j * D_jn   (STEP 2's rho_other becomes
 //              busy[n] - lambda_r * D_rn; exactly 0 for single-chain
 //              models, where the term-free legacy sum is kept verbatim)
 //   total[n] = sum_j N_jn              (STEP 3's "others", which never
 //              depended on r to begin with)
-// — dropping a sweep from O(N R^2) to O(N R), and STEPs 3-5 iterate the
-// station-major SoA demand slab so the chain-inner loops are
-// unit-stride.  STEP 2's per-chain subproblems are independent given
-// the hoisted busy[], which is what the optional chain-block pool
-// dispatch (SolveHints::pool) exploits; block partitioning never
-// changes any per-chain arithmetic, so the result is bit-identical to
-// the serial sweep.
+// — and every sweep (STEPs 2-5) visits only the cells on the chains'
+// routes: station n's loop runs over chains_visiting(n), the
+// station->chain CSR map, instead of all R chains.  That is exact, not
+// an approximation.  Off a chain's route its demand is +0.0, so its
+// time and queue stay +0.0 from the zeroed arena for the whole solve
+// (lambda is finite), and each skipped cell would add an exact +0.0 to
+// busy[], total[] or the cycle time.  The visited terms keep the
+// ascending chain/station order of the dense legacy sums, so the
+// result is bit-identical while a sweep costs O(visited cells) instead
+// of O(N R).  STEP 2's per-chain subproblems are independent given
+// busy[], which is what the optional chain-block pool dispatch
+// (SolveHints::pool) exploits; block partitioning never changes any
+// per-chain arithmetic, so the result is bit-identical to the serial
+// sweep.
 Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
                                    const PopulationVector& population,
                                    Workspace& ws) const {
@@ -281,13 +288,13 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
         }
       } else {
         if (num_chains > 1) {
-          // Hoisted per-station busy time, chain-ascending like the
-          // legacy per-(r,n) accumulation.
+          // Hoisted per-station busy time over the visiting chains,
+          // chain-ascending like the legacy per-(r,n) accumulation.
           for (int n = 0; n < num_stations; ++n) {
             const std::size_t row =
                 static_cast<std::size_t>(n) * num_chains;
             double b = 0.0;
-            for (int j = 0; j < num_chains; ++j) {
+            for (const int j : model.chains_visiting(n)) {
               b += lambda[static_cast<std::size_t>(j)] * dsm[row + j];
             }
             busy[static_cast<std::size_t>(n)] = b;
@@ -321,18 +328,18 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     }
 
     // STEP 3: mean queueing times (thesis eq. 4.13), station-major over
-    // the SoA demand slab with the hoisted per-station totals (the
-    // legacy "others" sum never depended on the observing chain).
+    // the visited cells with the hoisted per-station totals (the legacy
+    // "others" sum never depended on the observing chain).
     for (int n = 0; n < num_stations; ++n) {
       const std::size_t row = static_cast<std::size_t>(n) * num_chains;
       double t = 0.0;
-      for (int j = 0; j < num_chains; ++j) t += number[row + j];
+      for (const int j : model.chains_visiting(n)) t += number[row + j];
       total[static_cast<std::size_t>(n)] = t;
     }
     for (int n = 0; n < num_stations; ++n) {
       const std::size_t row = static_cast<std::size_t>(n) * num_chains;
       const bool delay = model.is_delay(n);
-      for (int r = 0; r < num_chains; ++r) {
+      for (const int r : model.chains_visiting(n)) {
         if (population[static_cast<std::size_t>(r)] == 0) continue;
         const double d = dsm[row + r];
         if (d <= 0.0) {
@@ -350,14 +357,15 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     }
 
     // STEP 4: chain throughputs (Little for chains, thesis eq. 4.14).
-    // Station-major accumulation; per chain the additions run in the
-    // same ascending-station order as the legacy strided sum.
+    // Station-major accumulation over the visited cells; per chain the
+    // additions run in the same ascending-station order as the legacy
+    // strided sum.
     for (int r = 0; r < num_chains; ++r) {
       cycle_acc[static_cast<std::size_t>(r)] = 0.0;
     }
     for (int n = 0; n < num_stations; ++n) {
       const std::size_t row = static_cast<std::size_t>(n) * num_chains;
-      for (int r = 0; r < num_chains; ++r) {
+      for (const int r : model.chains_visiting(n)) {
         cycle_acc[static_cast<std::size_t>(r)] += time[row + r];
       }
     }
@@ -368,10 +376,10 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     }
 
     // STEP 5: mean queue lengths (Little for stations, thesis eq. 4.15),
-    // with optional under-relaxation; unit-stride across chains.
+    // with optional under-relaxation, over the visited cells.
     for (int n = 0; n < num_stations; ++n) {
       const std::size_t row = static_cast<std::size_t>(n) * num_chains;
-      for (int r = 0; r < num_chains; ++r) {
+      for (const int r : model.chains_visiting(n)) {
         const double updated =
             lambda[static_cast<std::size_t>(r)] * time[row + r];
         number[row + r] =

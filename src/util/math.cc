@@ -1,5 +1,7 @@
 #include "util/math.h"
 
+#include <math.h>
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -17,7 +19,10 @@ double log_add(double log_a, double log_b) noexcept {
 
 double log_factorial(int n) {
   if (n < 0) throw std::domain_error("log_factorial: negative argument");
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: glibc's lgamma also stores the sign in
+  // the global `signgam`, a data race between threads.  Same value.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double factorial(int n) {

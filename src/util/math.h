@@ -10,7 +10,7 @@ namespace windim::util {
 /// -infinity (representing log of zero).
 [[nodiscard]] double log_add(double log_a, double log_b) noexcept;
 
-/// log(n!) via lgamma.
+/// log(n!) via lgamma_r (thread-safe: no write to glibc's signgam).
 [[nodiscard]] double log_factorial(int n);
 
 /// n! as a double (exact up to n = 170; throws std::overflow_error above).

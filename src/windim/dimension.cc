@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/convergence.h"
 #include "obs/metrics.h"
@@ -17,6 +19,62 @@
 namespace windim::core {
 namespace {
 
+/// Packs converged warm-start states down to the cells a heuristic-MVA
+/// solve can make nonzero.  Off a chain's route its demand is 0, so its
+/// queue N and sigma stay exactly 0 through every solve (DESIGN.md §5,
+/// §10).  A packed state is lambda (one per chain) followed by N and,
+/// when the state has one, sigma at the visited cells of the
+/// station->chain CSR map, in CSR order; an empty sigma stays empty.
+/// unpack() writes only the visited cells of a dense seed whose other
+/// cells stay 0, so the solver reads exactly the state pack() was
+/// given.
+class StatePacker {
+ public:
+  explicit StatePacker(const qn::CompiledModel& model)
+      : num_chains_(static_cast<std::size_t>(model.num_chains())),
+        num_cells_(model.cell_count()) {
+    for (int n = 0; n < model.num_stations(); ++n) {
+      for (const int r : model.chains_visiting(n)) {
+        visited_.push_back(static_cast<std::size_t>(n) * num_chains_ +
+                           static_cast<std::size_t>(r));
+      }
+    }
+  }
+
+  void pack(const mva::MvaWarmStart& dense, std::vector<double>& out) const {
+    out.clear();
+    if (dense.lambda.empty()) return;
+    out.reserve(num_chains_ +
+                (dense.sigma.empty() ? 1 : 2) * visited_.size());
+    out.insert(out.end(), dense.lambda.begin(), dense.lambda.end());
+    for (const std::size_t i : visited_) out.push_back(dense.number[i]);
+    if (dense.sigma.empty()) return;
+    for (const std::size_t i : visited_) out.push_back(dense.sigma[i]);
+  }
+
+  void unpack(const std::vector<double>& packed,
+              mva::MvaWarmStart& dense) const {
+    const std::size_t v = visited_.size();
+    const double* values = packed.data();
+    dense.lambda.assign(values, values + num_chains_);
+    values += num_chains_;
+    dense.number.resize(num_cells_, 0.0);
+    for (std::size_t k = 0; k < v; ++k) dense.number[visited_[k]] = values[k];
+    if (packed.size() == num_chains_ + v) {
+      dense.sigma.clear();
+      return;
+    }
+    values += v;
+    dense.sigma.resize(num_cells_, 0.0);
+    for (std::size_t k = 0; k < v; ++k) dense.sigma[visited_[k]] = values[k];
+  }
+
+ private:
+  std::size_t num_chains_;
+  std::size_t num_cells_;
+  std::vector<std::size_t> visited_;  // dense [n * R + r] index, CSR order
+};
+
 /// Every full Evaluation of the run, shared between the objective, the
 /// warm-start seeding, the probe hooks and the final best-point read —
 /// the search memoizes objective *values*, this store keeps the
@@ -25,7 +83,9 @@ class EvaluationStore {
  public:
   struct Entry {
     Evaluation evaluation;
-    mva::MvaWarmStart state;  // empty for non-heuristic evaluators
+    /// Converged solver state (StatePacker format); empty unless the
+    /// run warm-starts.
+    std::vector<double> state;
     const Entry* anchor = nullptr;  // warm-start seed (null = cold)
     /// Per-solve convergence telemetry (only when the run observes it).
     std::optional<obs::SolveRecord> solve_record;
@@ -44,7 +104,7 @@ class EvaluationStore {
   /// accepted base points of the pattern search, in trajectory order.
   void add_anchor(const std::vector<int>& windows) {
     const Entry* entry = find(windows);
-    if (entry == nullptr || entry->state.lambda.empty()) return;
+    if (entry == nullptr || entry->state.empty()) return;
     anchors_.push_back(entry);  // node pointers survive rehashing
   }
 
@@ -205,6 +265,17 @@ DimensionResult dimension_windows(const WindowProblem& problem,
 
   const bool warm =
       options.warm_start && solver.traits().supports_warm_start;
+  // Warm runs keep packed states per entry and two run-owned dense
+  // buffers: the seed unpacked from the anchor before each solve, and
+  // the solve's final state before it is packed.
+  std::optional<StatePacker> packer;
+  if (warm) {
+    packer.emplace(solver.traits().semiclosed_view
+                       ? problem.compiled_semiclosed()
+                       : problem.compiled());
+  }
+  mva::MvaWarmStart seed;
+  mva::MvaWarmStart final_state;
   // Convergence observation also powers the synthesized solve/iterate
   // spans, so either sink turns the per-evaluation recorder on.
   const bool observe_solves =
@@ -223,9 +294,11 @@ DimensionResult dimension_windows(const WindowProblem& problem,
     // finished record parks in the store until the probe hook logs it.
     std::optional<obs::ConvergenceRecorder> recorder;
     if (observe_solves) recorder.emplace();
+    if (anchor != nullptr) packer->unpack(anchor->state, seed);
     entry.evaluation = problem.evaluate_with(
-        e, solver, *ws, &options.mva, anchor ? &anchor->state : nullptr,
-        &entry.state, recorder ? &*recorder : nullptr);
+        e, solver, *ws, &options.mva, anchor ? &seed : nullptr,
+        warm ? &final_state : nullptr, recorder ? &*recorder : nullptr);
+    if (warm) packer->pack(final_state, entry.state);
     search::VectorEval value = objective_vector(entry.evaluation, spec);
     if (recorder && recorder->has_record()) {
       entry.solve_record = recorder->take_record();

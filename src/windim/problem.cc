@@ -183,8 +183,10 @@ Evaluation WindowProblem::evaluate_with(
   for (int r = 0; r < num_chains; ++r) {
     const double rate = sol.chain_throughput[static_cast<std::size_t>(r)];
     total_rate += rate;
+    // Only the chain's own stations hold its customers; every other
+    // cell is a zero queue, so summing the route alone is exact.
     double number_r = 0.0;
-    for (int n = 0; n < model.num_stations(); ++n) {
+    for (const int n : model.stations_of(r)) {
       if (n == source_station_[static_cast<std::size_t>(r)]) continue;
       number_r += sol.mean_queue[static_cast<std::size_t>(n) * num_chains + r];
     }

@@ -294,6 +294,54 @@ TEST(CompiledEquivalence, LargeCyclic10kMatchesLegacySweepBitForBit) {
   check_large_cyclic(10000, 1);
 }
 
+TEST(CompiledEquivalence, WarmStartWithIdleChainsMatchesLegacyBitForBit) {
+  // The kernel sweeps only the cells on each chain's route; the legacy
+  // solver sweeps every cell.  They must agree bit for bit on the path
+  // WINDIM runs most — a sigma-seeded warm start with lazy refreshes —
+  // and with idle (population 0) chains, whose cells stay zero.
+  verify::GenOptions opt;
+  opt.large_chains = 1000;
+  qn::NetworkModel model =
+      verify::generate(verify::Family::kLargeCyclic, 1, opt).model;
+  for (int r = 0; r < model.num_chains(); r += 7) model.set_population(r, 0);
+  const mva::ApproxMvaOptions options;
+  const mva::MvaSolution cold = mva::solve_approx_mva(model, options);
+  const mva::MvaWarmStart seed{cold.chain_throughput, cold.mean_queue,
+                               cold.sigma};
+  // A neighbouring window setting, as the pattern search probes it.
+  for (const int r : {1, 100, 500, 998}) {
+    model.set_population(r, model.chain(r).population + 1);
+  }
+  const mva::MvaSolution legacy = mva::solve_approx_mva(model, options, &seed);
+
+  const qn::CompiledModel compiled = qn::CompiledModel::compile(model);
+  const std::vector<int> population(compiled.base_populations().begin(),
+                                    compiled.base_populations().end());
+  solver::Workspace ws;
+  ws.hints.warm_start = &seed;
+  const solver::Solution kernel =
+      solver::SolverRegistry::instance().require("heuristic-mva").solve(
+          compiled, population, ws);
+
+  EXPECT_EQ(kernel.iterations, legacy.iterations);
+  EXPECT_EQ(kernel.sigma_refreshes, legacy.sigma_refreshes);
+  EXPECT_LT(kernel.sigma_refreshes, kernel.iterations);
+  EXPECT_EQ(kernel.converged, legacy.converged);
+  ASSERT_EQ(kernel.chain_throughput.size(), legacy.chain_throughput.size());
+  for (std::size_t i = 0; i < legacy.chain_throughput.size(); ++i) {
+    ASSERT_EQ(kernel.chain_throughput[i], legacy.chain_throughput[i])
+        << "throughput[" << i << "]";
+  }
+  ASSERT_EQ(kernel.mean_queue.size(), legacy.mean_queue.size());
+  for (std::size_t i = 0; i < legacy.mean_queue.size(); ++i) {
+    ASSERT_EQ(kernel.mean_queue[i], legacy.mean_queue[i]) << "queue[" << i << "]";
+  }
+  ASSERT_EQ(kernel.sigma.size(), legacy.sigma.size());
+  for (std::size_t i = 0; i < legacy.sigma.size(); ++i) {
+    ASSERT_EQ(kernel.sigma[i], legacy.sigma[i]) << "sigma[" << i << "]";
+  }
+}
+
 TEST(CompiledEquivalence, ChainBlockPoolSweepIsBitIdenticalToSerial) {
   // Serial-replay determinism of the parallel STEP 2 dispatch: any pool
   // size must give EXACTLY the serial results (same blocks, same
