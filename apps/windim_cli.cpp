@@ -30,10 +30,9 @@
 #include "control/matrix.h"
 #include "control/registry.h"
 #include "control/scenario.h"
-#include "obs/convergence.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "serve/server.h"
 #include "sim/msgnet_sim.h"
 #include "sim/replicate.h"
@@ -138,16 +137,23 @@ std::unique_ptr<util::ThreadPool> make_sweep_pool(int solver_threads) {
       util::resolve_thread_count(solver_threads));
 }
 
-/// Writes the global metrics snapshot as one JSON object.
-bool write_metrics_json(const std::string& path) {
-  const std::string body = obs::MetricsRegistry::global().snapshot().to_json();
-  std::ofstream out(path);
+/// Writes `body` to `path`; prints the error and returns false when the
+/// file cannot be written.
+bool write_text(const std::string& path, const std::string& body) {
+  std::ofstream out(path, std::ios::binary);
+  out << body;
+  out.close();
   if (!out) {
     std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
     return false;
   }
-  out << body << '\n';
-  return static_cast<bool>(out);
+  return true;
+}
+
+/// Writes the global metrics snapshot as one JSON object.
+bool write_metrics_json(const std::string& path) {
+  return write_text(
+      path, obs::MetricsRegistry::global().snapshot().to_json() + '\n');
 }
 
 std::optional<cli::NetworkSpec> load_spec(const char* path) {
@@ -292,23 +298,34 @@ int cmd_dimension(const cli::NetworkSpec& spec,
     }
   }
 
+  // The observation outputs render one run's probe record; a Pareto
+  // scan is many runs, so they are refused before anything is solved.
+  if (!pareto_out.empty()) {
+    bool rejected = false;
+    for (const auto& [flag, path] :
+         {std::pair{"--trace-out", &trace_out},
+          std::pair{"--convergence-out", &convergence_out},
+          std::pair{"--trace-spans-out", &spans_out}}) {
+      if (path->empty()) continue;
+      std::fprintf(stderr, "error: %s cannot be combined with --pareto-out\n",
+                   flag);
+      rejected = true;
+    }
+    if (rejected) return 2;
+  }
+
   const std::unique_ptr<util::ThreadPool> sweep_pool =
       make_sweep_pool(solver_threads);
   options.solver_pool = sweep_pool.get();
   if (!metrics_out.empty()) obs::MetricsRegistry::global().set_enabled(true);
-  obs::SearchTrace trace;
-  if (!trace_out.empty()) options.trace = &trace;
-  obs::ConvergenceLog convergence;
-  if (!convergence_out.empty()) options.convergence = &convergence;
   obs::SpanTracer& spans = obs::SpanTracer::global();
-  if (!spans_out.empty()) {
-    spans.set_enabled(true);
-    options.spans = &spans;
-  }
+  if (!spans_out.empty()) spans.set_enabled(true);
+  options.observe =
+      !trace_out.empty() || !convergence_out.empty() || !spans_out.empty();
 
   if (!pareto_out.empty()) {
     // Pareto mode: sweep the power/fairness trade-off instead of a
-    // single solve; the single-solve flags (evaluator, bounds, sweep
+    // single solve; the single-solve flags (solver, bounds, sweep
     // pool, budget) configure every solve of the scan.
     core::ParetoOptions popts;
     popts.base = options;
@@ -320,16 +337,7 @@ int cmd_dimension(const cli::NetworkSpec& spec,
     }
     const core::WindowProblem problem(spec.topology, spec.classes);
     const core::ParetoFront front = core::pareto_front(problem, popts);
-    std::ofstream out(pareto_out);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", pareto_out.c_str());
-      return 1;
-    }
-    out << core::to_json(front) << '\n';
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", pareto_out.c_str());
-      return 1;
-    }
+    if (!write_text(pareto_out, core::to_json(front) + '\n')) return 1;
     if (!metrics_out.empty() && !write_metrics_json(metrics_out)) return 1;
     if (front.cancelled) {
       std::fprintf(stderr, "warning: pareto scan cancelled mid-sweep\n");
@@ -362,10 +370,10 @@ int cmd_dimension(const cli::NetworkSpec& spec,
   {
     // Root span covering the whole command; compile covers the
     // compile-once model construction the search amortizes.
-    obs::SpanTracer::Scope dim_span(options.spans, "dimension");
+    obs::SpanTracer::Scope dim_span(&spans, "dimension");
     std::optional<core::WindowProblem> problem;
     {
-      obs::SpanTracer::Scope compile_span(options.spans, "compile");
+      obs::SpanTracer::Scope compile_span(&spans, "compile");
       compile_span.arg("classes",
                        static_cast<std::int64_t>(spec.classes.size()));
       problem.emplace(spec.topology, spec.classes);
@@ -379,13 +387,12 @@ int cmd_dimension(const cli::NetworkSpec& spec,
       return 1;
     }
   }
-  if (!convergence_out.empty() && !convergence.write_jsonl(convergence_out)) {
-    std::fprintf(stderr, "error: cannot write '%s'\n",
-                 convergence_out.c_str());
+  if (!convergence_out.empty() &&
+      !write_text(convergence_out, obs::convergence_jsonl(result.probes))) {
     return 1;
   }
-  if (!trace_out.empty() && !trace.write_jsonl(trace_out)) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", trace_out.c_str());
+  if (!trace_out.empty() &&
+      !write_text(trace_out, obs::search_trace_jsonl(result.probes))) {
     return 1;
   }
   if (!metrics_out.empty() && !write_metrics_json(metrics_out)) return 1;
@@ -416,9 +423,7 @@ int cmd_dimension(const cli::NetworkSpec& spec,
     std::printf("%s", table.render_csv().c_str());
     return 0;
   }
-  std::printf("evaluator:  %s\n",
-              options.solver.empty() ? core::to_string(options.evaluator)
-                                     : options.solver.c_str());
+  std::printf("evaluator:  %s\n", options.solver.c_str());
   print_evaluation(result.evaluation, spec.classes);
   std::printf("search:     %zu evaluations (+%zu cached)\n",
               result.objective_evaluations, result.cache_hits);

@@ -34,11 +34,11 @@ int main() {
       for (int e1 = 1; e1 <= 7; ++e1) {
         for (int e2 = 1; e2 <= 7; ++e2) {
           const double h =
-              problem.evaluate({e1, e2}, core::Evaluator::kHeuristicMva,
+              problem.evaluate({e1, e2}, "heuristic-mva",
                                options)
                   .power;
           const double x =
-              problem.evaluate({e1, e2}, core::Evaluator::kConvolution)
+              problem.evaluate({e1, e2}, "convolution")
                   .power;
           const double err = std::abs(h - x) / x;
           worst = std::max(worst, err);

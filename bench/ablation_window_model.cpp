@@ -34,9 +34,9 @@ int main() {
 
   for (int e : {1, 2, 3, 4, 6, 8}) {
     const core::Evaluation closed =
-        problem.evaluate({e, e}, core::Evaluator::kConvolution);
+        problem.evaluate({e, e}, "convolution");
     const core::Evaluation semi =
-        problem.evaluate({e, e}, core::Evaluator::kSemiclosed);
+        problem.evaluate({e, e}, "semiclosed");
 
     sim::MsgNetOptions drop;
     drop.windows = {e, e};

@@ -52,14 +52,14 @@ int main() {
       double best_power = -1.0;
       for (int e = 1; e <= 2 * hops + 4; ++e) {
         const double p =
-            problem.evaluate({e}, core::Evaluator::kConvolution).power;
+            problem.evaluate({e}, "convolution").power;
         if (p > best_power) {
           best_power = p;
           best_window = e;
         }
       }
       const double at_phi =
-          problem.evaluate({hops}, core::Evaluator::kConvolution).power;
+          problem.evaluate({hops}, "convolution").power;
       table.begin_row()
           .add(hops)
           .add(rate, 1)

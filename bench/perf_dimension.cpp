@@ -43,7 +43,6 @@
 #include "net/examples.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "qn/network.h"
 #include "search/pattern_search.h"
 #include "solver/workspace.h"
@@ -325,20 +324,20 @@ int main(int argc, char** argv) {
       disabled_snapshot.counter_or("search.probes") == 0 &&
       disabled_snapshot.counter_or("solver.heuristic-mva.solves") == 0;
 
-  // Fully instrumented run: metrics + search trace on.  Reported as an
-  // informational overhead figure; the windows must not change.
+  // Fully instrumented run: metrics on and the run observed (one probe
+  // record per probe, with each fresh solve's convergence record).
+  // Reported as an informational overhead figure; the windows must not
+  // change.
   windim::obs::MetricsRegistry::global().set_enabled(true);
-  windim::obs::SearchTrace trace;
   DimensionOptions instrumented = engine;
-  instrumented.trace = &trace;
+  instrumented.observe = true;
   DimensionResult instrumented_result;
   const double instrumented_ms = median_ms(reps, [&] {
-    trace.clear();
     instrumented_result =
         windim::core::dimension_windows(problem, instrumented);
   });
   windim::obs::MetricsRegistry::global().set_enabled(false);
-  const std::size_t trace_records = trace.records().size();
+  const std::size_t trace_records = instrumented_result.probes.size();
 
   std::printf("4-class thesis network, heuristic-MVA, %d reps (median)\n\n",
               reps);

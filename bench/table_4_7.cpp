@@ -43,7 +43,7 @@ int main() {
 
     // Exact power at the dimensioned windows.
     const core::Evaluation exact = problem.evaluate(
-        result.optimal_windows, core::Evaluator::kExactMva);
+        result.optimal_windows, "exact-mva");
 
     table.begin_row()
         .add(row[0], 1)

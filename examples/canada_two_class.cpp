@@ -56,12 +56,10 @@ int main() {
   // ---- evaluator comparison ---------------------------------------------
   std::printf("\n== Evaluation engines at E=%s ==\n",
               util::format_window(r.optimal_windows).c_str());
-  for (const auto engine :
-       {core::Evaluator::kHeuristicMva, core::Evaluator::kExactMva,
-        core::Evaluator::kConvolution}) {
+  for (const char* engine : {"heuristic-mva", "exact-mva", "convolution"}) {
     const core::Evaluation ev = problem.evaluate(r.optimal_windows, engine);
     std::printf("  %-14s power %7.2f  (throughput %6.2f, delay %6.2f ms)\n",
-                core::to_string(engine), ev.power, ev.throughput,
+                engine, ev.power, ev.throughput,
                 ev.mean_delay * 1000.0);
   }
 

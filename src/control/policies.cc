@@ -151,7 +151,7 @@ void TrackingWindimController::on_tick(
   }
   core::WindowProblem problem(topology_, std::move(observed));
   core::DimensionOptions options;
-  options.solver = config_.solver;
+  if (!config_.solver.empty()) options.solver = config_.solver;
   options.max_window = config_.max_window;
   core::DimensionResult result = core::dimension_windows(problem, options);
   if (!result.feasible) return;

@@ -20,8 +20,8 @@
 // Poisson traffic and admits at most E_r unacknowledged messages is a
 // semiclosed chain over its route queues with bounds [0, E_r] - an
 // alternative to the thesis's closed-chain model (which replaces the
-// source by an exponential server).  core::Evaluator::kSemiclosed uses
-// this solver.
+// source by an exponential server).  The "semiclosed" registry solver
+// evaluates window settings with it.
 #pragma once
 
 #include <vector>

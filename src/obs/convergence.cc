@@ -1,11 +1,7 @@
 #include "obs/convergence.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
-
-#include "obs/json.h"
-#include "obs/metrics.h"
 
 namespace windim::obs {
 
@@ -164,149 +160,6 @@ void ConvergenceRecorder::record_summary(std::string_view solver,
 SolveRecord ConvergenceRecorder::take_record() {
   finished_ = false;
   return std::move(record_);
-}
-
-ConvergenceLog::ConvergenceLog(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-}
-
-void ConvergenceLog::append(SolveRecord record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++total_;
-  class_counts_[static_cast<std::size_t>(record.classification)] += 1;
-  total_iterations_ += static_cast<std::uint64_t>(
-      record.iterations < 0 ? 0 : record.iterations);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(record));
-  } else {
-    ring_[head_] = std::move(record);
-    head_ = (head_ + 1) % capacity_;
-  }
-}
-
-void ConvergenceLog::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-  head_ = 0;
-  total_ = 0;
-  class_counts_.fill(0);
-  total_iterations_ = 0;
-}
-
-std::vector<SolveRecord> ConvergenceLog::records() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SolveRecord> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::uint64_t ConvergenceLog::total_appended() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
-}
-
-std::uint64_t ConvergenceLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_ - ring_.size();
-}
-
-std::uint64_t ConvergenceLog::count_of(ConvergenceClass c) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return class_counts_[static_cast<std::size_t>(c)];
-}
-
-std::uint64_t ConvergenceLog::total_iterations() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_iterations_;
-}
-
-std::string ConvergenceLog::to_jsonl() const {
-  std::string out;
-  for (const SolveRecord& r : records()) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("solver");
-    w.value(r.solver);
-    w.key("class");
-    w.value(to_string(r.classification));
-    w.key("warm");
-    w.value(r.warm_started);
-    w.key("chains");
-    w.value(r.num_chains);
-    w.key("iterations");
-    w.value(r.iterations);
-    w.key("converged");
-    w.value(r.converged);
-    w.key("first_residual");
-    w.value(r.first_residual);
-    w.key("final_residual");
-    w.value(r.final_residual);
-    w.key("min_residual");
-    w.value(r.min_residual);
-    w.key("max_residual");
-    w.value(r.max_residual);
-    w.key("wall_us");
-    w.value(r.wall_us);
-    w.key("samples_seen");
-    w.value(r.samples_seen);
-    w.key("samples");
-    w.begin_array();
-    for (const IterationSample& s : r.samples) {
-      w.begin_object();
-      w.key("i");
-      w.value(s.iteration);
-      w.key("residual");
-      w.value(s.max_residual);
-      w.key("damping");
-      w.value(s.damping);
-      w.key("wall_us");
-      w.value(s.wall_us);
-      w.key("chain_delta");
-      w.begin_array();
-      for (int c = 0; c < r.tracked_chains; ++c) {
-        w.value(s.chain_delta[static_cast<std::size_t>(c)]);
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    out += std::move(w).str();
-    out.push_back('\n');
-  }
-  return out;
-}
-
-bool ConvergenceLog::write_jsonl(const std::string& path) const {
-  const std::string body = to_jsonl();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
-}
-
-void ConvergenceLog::export_metrics() const {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  if (!reg.enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  reg.counter("windim.convergence.solves").add(total_);
-  reg.counter("windim.convergence.converged")
-      .add(class_counts_[static_cast<std::size_t>(
-          ConvergenceClass::kConverged)]);
-  reg.counter("windim.convergence.stagnated")
-      .add(class_counts_[static_cast<std::size_t>(
-          ConvergenceClass::kStagnated)]);
-  reg.counter("windim.convergence.oscillating")
-      .add(class_counts_[static_cast<std::size_t>(
-          ConvergenceClass::kOscillating)]);
-  reg.counter("windim.convergence.diverged")
-      .add(class_counts_[static_cast<std::size_t>(
-          ConvergenceClass::kDiverged)]);
-  reg.counter("windim.convergence.iterations").add(total_iterations_);
 }
 
 }  // namespace windim::obs

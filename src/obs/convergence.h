@@ -18,15 +18,14 @@
 //                of the damped map).
 //   diverged     the residual grew over the recorded window.
 //
-// Two classes, two scopes:
-//   - ConvergenceRecorder observes ONE solve.  Iterative solvers stream
-//     begin/record/end into it through SolveHints::convergence; callers
-//     of non-iterative solvers record a summary (iterations == 1, empty
-//     sample ring — the contract pinned by convergence_test).  A
-//     recorder belongs to one thread for the duration of the solve.
-//   - ConvergenceLog aggregates finished SolveRecords for a run
-//     (mutex-guarded, bounded, drop-oldest), exports per-solve JSONL
-//     and derived windim.convergence.* metrics.
+// ConvergenceRecorder observes ONE solve.  Iterative solvers stream
+// begin/record/end into it through SolveHints::convergence; callers of
+// non-iterative solvers record a summary (iterations == 1, empty sample
+// ring — the contract pinned by convergence_test).  A recorder belongs
+// to one thread for the duration of the solve.  An observed dimensioning
+// run keeps each fresh evaluation's finished SolveRecord in its probe
+// record (obs/probe.h), whose renderers export the per-solve JSONL and
+// the derived windim.convergence.* metrics.
 //
 // The sample ring is preallocated at begin_solve and never grows during
 // the iteration; when a solve outlives the ring, the oldest sweeps are
@@ -37,7 +36,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -139,46 +137,6 @@ class ConvergenceRecorder {
   std::array<double, kMaxTrackedChains> staged_{};
   std::chrono::steady_clock::time_point solve_start_;
   std::chrono::steady_clock::time_point sweep_start_;
-};
-
-/// Run-level collection of finished SolveRecords (bounded, drop-oldest).
-/// Appends are mutex-guarded; the engine appends in probe order from its
-/// sequential search, so the record order is deterministic.
-class ConvergenceLog {
- public:
-  explicit ConvergenceLog(std::size_t capacity = 1 << 14);
-
-  void append(SolveRecord record);
-  void clear();
-
-  [[nodiscard]] std::vector<SolveRecord> records() const;
-  [[nodiscard]] std::uint64_t total_appended() const;
-  [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::uint64_t count_of(ConvergenceClass c) const;
-  [[nodiscard]] std::uint64_t total_iterations() const;
-
-  /// One JSON object per solve, fixed field order:
-  /// {"solver":..,"class":..,"warm":..,"chains":..,"iterations":..,
-  ///  "converged":..,"first_residual":..,"final_residual":..,
-  ///  "min_residual":..,"max_residual":..,"wall_us":..,"samples":[
-  ///    {"i":..,"residual":..,"damping":..,"wall_us":..,
-  ///     "chain_delta":[..]},..]}\n
-  [[nodiscard]] std::string to_jsonl() const;
-  bool write_jsonl(const std::string& path) const;
-
-  /// Adds derived counters to the global MetricsRegistry (no-op while
-  /// it is disabled): windim.convergence.solves/.converged/.stagnated/
-  /// .oscillating/.diverged/.iterations.
-  void export_metrics() const;
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<SolveRecord> ring_;
-  std::size_t head_ = 0;
-  std::uint64_t total_ = 0;
-  std::array<std::uint64_t, 4> class_counts_{};
-  std::uint64_t total_iterations_ = 0;
 };
 
 }  // namespace windim::obs

@@ -6,19 +6,18 @@
 // of span feed one tracer:
 //
 //   - REAL spans (Scope): RAII, measured with steady_clock on the
-//     calling thread, nested through a thread-local span stack.  A
-//     dimensioning run opens them only on its one calling thread (the
-//     compile/search/explore phases), so their COUNT and ORDER follow
-//     the sequential search.
+//     calling thread, nested through a thread-local span stack.  An
+//     observed dimensioning run opens them only on its one calling
+//     thread (the compile/search/explore phases), so their COUNT and
+//     ORDER follow the sequential search.
 //   - SYNTHESIZED spans (emit on an add_track() track): rebuilt after
-//     the fact from deterministic data — the engine synthesizes the
-//     probe -> solve -> iterate subtree for every probe from the
-//     search's probe stream and the solve's ConvergenceRecorder
-//     samples, placing them on a virtual "replay" track with a running
-//     cursor timestamp.  This is what makes the whole trace of a run
-//     byte-identical from run to run (and with or without a sweep pool)
-//     once timestamps and durations are normalized (span_trace_test
-//     pins it).
+//     the fact from deterministic data — an observed run renders the
+//     probe -> solve -> iterate subtree of every probe from its probe
+//     record (obs/probe.h, render_replay_spans) onto a virtual "replay"
+//     track with a running cursor timestamp.  This is what makes the
+//     whole trace of a run byte-identical from run to run (and with or
+//     without a sweep pool) once timestamps and durations are
+//     normalized (span_trace_test pins it).
 //
 // Budget (DESIGN.md §8/§9): every entry point first checks one relaxed
 // atomic enabled flag; a disabled tracer does no clock reads, no

@@ -245,7 +245,6 @@ PatternSearchResult pattern_search(const Objective& objective, Point initial,
   vo.upper_bound = options.upper_bound;
   vo.max_evaluations = options.max_evaluations;
   vo.better = scalar_comparator();
-  vo.spans = options.spans;
   vo.cancel = options.cancel;
   if (options.on_new_base) {
     vo.on_new_base = [&options](const Point& p, const VectorEval& f) {

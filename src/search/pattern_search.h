@@ -19,6 +19,11 @@
 // Budget exhaustion is not an error: when the evaluation budget runs out
 // mid-search the best point found so far is returned with
 // `budget_exhausted == true` instead of throwing.
+//
+// The search keeps no observation record of its own.  `on_probe`
+// reports each resolved probe in order (dimension_windows builds its
+// probe record from it, obs/probe.h), and the vector entry point's
+// optional span tracer times the exploratory moves.
 #pragma once
 
 #include <cstddef>
@@ -64,10 +69,6 @@ struct PatternSearchOptions {
   std::function<void(std::size_t step, const Point&, double value,
                      bool revisit)>
       on_probe;
-  /// Optional span tracer (obs/span.h): each exploratory move opens a
-  /// real "explore" span on the calling thread.  Null skips all
-  /// tracing.
-  obs::SpanTracer* spans = nullptr;
   /// Cooperative stop signal (util/cancel.h), polled before every
   /// probe.  Once expired, the search stops accepting probes and
   /// returns its best point so far with PatternSearchResult::cancelled
@@ -129,6 +130,9 @@ struct VectorSearchOptions {
   std::function<void(std::size_t step, const Point&, const VectorEval&,
                      bool revisit)>
       on_probe;
+  /// Optional span tracer (obs/span.h): each exploratory move opens a
+  /// real "explore" span on the calling thread.  Null skips all
+  /// tracing; dimension_windows sets it only on observed runs.
   obs::SpanTracer* spans = nullptr;
   const util::CancelToken* cancel = nullptr;
 };

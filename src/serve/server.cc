@@ -539,7 +539,7 @@ std::string Server::run_dimension(const Request& request,
   const RequestDeadline deadline(request.deadline_ms,
                                  options_.default_deadline_ms);
   core::DimensionOptions opts;
-  opts.solver = request.solver;
+  if (!request.solver.empty()) opts.solver = request.solver;
   opts.max_window = request.max_window;
   opts.solver_pool = sweep_pool(request);
   opts.power_exponent = request.power_exponent;
@@ -625,7 +625,7 @@ std::string Server::run_pareto(const Request& request, RequestTrace& trace) {
   }
 
   core::ParetoOptions popts;
-  popts.base.solver = request.solver;
+  if (!request.solver.empty()) popts.base.solver = request.solver;
   popts.base.max_window = request.max_window;
   popts.base.solver_pool = sweep_pool(request);
   if (request.max_evals > 0) popts.base.max_evaluations = request.max_evals;

@@ -12,8 +12,8 @@
 
 #include "obs/convergence.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "solver/registry.h"
 
 namespace windim::core {
@@ -76,7 +76,7 @@ class StatePacker {
 };
 
 /// Every full Evaluation of the run, shared between the objective, the
-/// warm-start seeding, the probe hooks and the final best-point read —
+/// warm-start seeding, the probe hook and the final best-point read —
 /// the search memoizes objective *values*, this store keeps the
 /// *evaluations* so nothing is ever recomputed.
 class EvaluationStore {
@@ -87,8 +87,6 @@ class EvaluationStore {
     /// run warm-starts.
     std::vector<double> state;
     const Entry* anchor = nullptr;  // warm-start seed (null = cold)
-    /// Per-solve convergence telemetry (only when the run observes it).
-    std::optional<obs::SolveRecord> solve_record;
   };
 
   void insert(const std::vector<int>& windows, Entry entry) {
@@ -147,76 +145,6 @@ ObjectiveSpec objective_spec(const DimensionOptions& options) {
   return spec;
 }
 
-std::string windows_string(const std::vector<int>& windows) {
-  std::string out;
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(windows[i]);
-  }
-  return out;
-}
-
-/// Synthesizes the probe -> solve -> iterate subtree for one search
-/// probe onto the tracer's virtual "replay" track.  The spans are
-/// rebuilt from the solve's ConvergenceRecorder samples with a running
-/// cursor timestamp, so their count, order and nesting are functions of
-/// the probe stream alone.  Returns the advanced cursor.
-double synthesize_probe_spans(obs::SpanTracer& tracer, std::uint64_t track,
-                              double cursor_us, std::size_t step,
-                              const std::vector<int>& windows, double value,
-                              bool revisit, const obs::SolveRecord* rec) {
-  double inner_us = 0.0;
-  if (rec != nullptr) {
-    double sweeps_us = 0.0;
-    for (const obs::IterationSample& s : rec->samples) {
-      sweeps_us += s.wall_us;
-    }
-    inner_us = std::max(sweeps_us, rec->wall_us);
-  }
-
-  obs::SpanEvent probe;
-  probe.name = "probe";
-  probe.ts_us = cursor_us;
-  probe.dur_us = inner_us;
-  probe.track = track;
-  probe.depth = 0;
-  probe.args.push_back({"step", static_cast<std::int64_t>(step)});
-  probe.args.push_back({"windows", windows_string(windows)});
-  probe.args.push_back({"objective", value});
-  probe.args.push_back({"cache_hit", revisit});
-  tracer.emit(std::move(probe));
-  if (rec == nullptr) return cursor_us + inner_us + 1.0;
-
-  obs::SpanEvent solve;
-  solve.name = "solve";
-  solve.ts_us = cursor_us;
-  solve.dur_us = inner_us;
-  solve.track = track;
-  solve.depth = 1;
-  solve.args.push_back({"solver", rec->solver});
-  solve.args.push_back({"iterations", std::int64_t{rec->iterations}});
-  solve.args.push_back({"converged", rec->converged});
-  solve.args.push_back(
-      {"class", std::string(obs::to_string(rec->classification))});
-  solve.args.push_back({"warm", rec->warm_started});
-  tracer.emit(std::move(solve));
-
-  double t = cursor_us;
-  for (const obs::IterationSample& s : rec->samples) {
-    obs::SpanEvent sweep;
-    sweep.name = "iterate";
-    sweep.ts_us = t;
-    sweep.dur_us = s.wall_us;
-    sweep.track = track;
-    sweep.depth = 2;
-    sweep.args.push_back({"i", static_cast<std::int64_t>(s.iteration)});
-    sweep.args.push_back({"residual", s.max_residual});
-    tracer.emit(std::move(sweep));
-    t += s.wall_us;
-  }
-  return cursor_us + inner_us + 1.0;
-}
-
 }  // namespace
 
 DimensionResult dimension_windows(const WindowProblem& problem,
@@ -255,9 +183,8 @@ DimensionResult dimension_windows(const WindowProblem& problem,
   // solver and one workspace pool (caller's, if provided, so warm arenas
   // survive across runs).  The memo and budget live in the search.
   EvaluationStore store;
-  const solver::Solver& solver = solver::SolverRegistry::instance().require(
-      options.solver.empty() ? to_string(options.evaluator)
-                             : options.solver);
+  const solver::Solver& solver =
+      solver::SolverRegistry::instance().require(options.solver);
   solver::WorkspacePool local_workspaces;
   solver::WorkspacePool& workspaces = options.workspaces != nullptr
                                           ? *options.workspaces
@@ -276,11 +203,10 @@ DimensionResult dimension_windows(const WindowProblem& problem,
   }
   mva::MvaWarmStart seed;
   mva::MvaWarmStart final_state;
-  // Convergence observation also powers the synthesized solve/iterate
-  // spans, so either sink turns the per-evaluation recorder on.
-  const bool observe_solves =
-      options.convergence != nullptr ||
-      (options.spans != nullptr && options.spans->enabled());
+  // An observed run records every fresh solve.  The finished record
+  // waits here for the probe hook, which the search calls right after
+  // the objective returns.
+  std::optional<obs::SolveRecord> pending_solve;
   const search::VectorObjective objective = [&](const search::Point& e) {
     EvaluationStore::Entry entry;
     const EvaluationStore::Entry* anchor =
@@ -290,10 +216,9 @@ DimensionResult dimension_windows(const WindowProblem& problem,
     // Caller-owned hints evaluate_with preserves across its reset.
     ws->hints.pool = options.solver_pool;
     ws->hints.cancel = options.cancel;
-    // One recorder per evaluation (recorders are single-solve); the
-    // finished record parks in the store until the probe hook logs it.
+    // One recorder per evaluation (recorders are single-solve).
     std::optional<obs::ConvergenceRecorder> recorder;
-    if (observe_solves) recorder.emplace();
+    if (options.observe) recorder.emplace();
     if (anchor != nullptr) packer->unpack(anchor->state, seed);
     entry.evaluation = problem.evaluate_with(
         e, solver, *ws, &options.mva, anchor ? &seed : nullptr,
@@ -301,7 +226,7 @@ DimensionResult dimension_windows(const WindowProblem& problem,
     if (warm) packer->pack(final_state, entry.state);
     search::VectorEval value = objective_vector(entry.evaluation, spec);
     if (recorder && recorder->has_record()) {
-      entry.solve_record = recorder->take_record();
+      pending_solve = recorder->take_record();
     }
     store.insert(e, std::move(entry));
     return value;
@@ -318,7 +243,6 @@ DimensionResult dimension_windows(const WindowProblem& problem,
   if (!options.initial_step.empty()) {
     ps.initial_step = options.initial_step;
   }
-  ps.spans = options.spans;
   ps.cancel = options.cancel;
   if (warm) {
     ps.on_new_base = [&](const search::Point& p, const search::VectorEval&) {
@@ -326,56 +250,45 @@ DimensionResult dimension_windows(const WindowProblem& problem,
     };
   }
   const std::string solver_name(solver.name());
-  const bool spans_on =
-      options.spans != nullptr && options.spans->enabled();
-  std::uint64_t replay_track = 0;
-  if (spans_on) replay_track = options.spans->add_track("replay");
-  double replay_cursor_us = 0.0;
-  if (options.trace != nullptr || observe_solves) {
+  // Only an observed run records spans: the real search/explore scopes
+  // here, and the replay track rendered from the probes at the end.  The
+  // track is registered up front so track ids follow the order in which
+  // the run's spans begin.
+  obs::SpanTracer* const spans =
+      options.observe ? &obs::SpanTracer::global() : nullptr;
+  ps.spans = spans;
+  const bool replay_on = spans != nullptr && spans->enabled();
+  const std::uint64_t replay_track =
+      replay_on ? spans->add_track("replay") : 0;
+  std::vector<obs::ProbeRecord> probes;
+  if (options.observe) {
     ps.on_probe = [&](std::size_t step, const search::Point& p,
                       const search::VectorEval& eval, bool revisit) {
-      const double value = search::scalarize(eval);
-      const EvaluationStore::Entry* entry = store.find(p);
-      if (options.trace != nullptr) {
-        obs::TraceRecord rec;
-        rec.step = step;
-        rec.windows = p;
-        rec.objective = value;
-        rec.objective_vector = eval.objectives;
-        rec.violation = eval.violation;
-        if (entry != nullptr) rec.power = entry->evaluation.power;
-        rec.solver = solver_name;
-        rec.cache_hit = revisit;
-        // The anchor this probe's evaluation was seeded from; revisits
-        // evaluate nothing.
-        if (entry != nullptr && !revisit && entry->anchor != nullptr) {
-          rec.anchor = entry->anchor->evaluation.windows;
+      // Every resolved probe's point is in the store: a fresh one was
+      // inserted by the objective call that just returned.
+      const EvaluationStore::Entry& entry = *store.find(p);
+      obs::ProbeRecord& rec = probes.emplace_back();
+      rec.step = step;
+      rec.windows = p;
+      rec.objective = search::scalarize(eval);
+      rec.objective_vector = eval.objectives;
+      rec.violation = eval.violation;
+      rec.power = entry.evaluation.power;
+      rec.solver = solver_name;
+      rec.cache_hit = revisit;
+      // A revisit evaluates nothing: no anchor, no solve.
+      if (!revisit) {
+        if (entry.anchor != nullptr) {
+          rec.anchor = entry.anchor->evaluation.windows;
         }
-        options.trace->append(std::move(rec));
-      }
-      if (observe_solves) {
-        // Each fresh evaluation's record enters the log exactly once, at
-        // its probe; revisits evaluated nothing, so they log nothing and
-        // synthesize a childless cache-hit probe span.
-        const obs::SolveRecord* rec =
-            entry != nullptr && !revisit && entry->solve_record
-                ? &*entry->solve_record
-                : nullptr;
-        if (options.convergence != nullptr && rec != nullptr) {
-          options.convergence->append(*rec);
-        }
-        if (spans_on) {
-          replay_cursor_us = synthesize_probe_spans(
-              *options.spans, replay_track, replay_cursor_us, step, p, value,
-              revisit, rec);
-        }
+        rec.solve = std::exchange(pending_solve, std::nullopt);
       }
     };
   }
 
   search::VectorSearchResult ps_result;
   {
-    obs::SpanTracer::Scope search_span(options.spans, "search");
+    obs::SpanTracer::Scope search_span(spans, "search");
     search_span.arg("solver", solver_name);
     ps_result =
         search::vector_pattern_search(objective, std::move(initial), ps);
@@ -446,10 +359,11 @@ DimensionResult dimension_windows(const WindowProblem& problem,
       }
     }
   }
-  // Derived windim.convergence.* counters (no-op while the registry is
-  // disabled).  Counts cover the log's whole lifetime: pass a fresh log
-  // per run, or expect cumulative totals.
-  if (options.convergence != nullptr) options.convergence->export_metrics();
+  if (options.observe) {
+    if (replay_on) obs::render_replay_spans(probes, *spans, replay_track);
+    obs::export_convergence_metrics(probes);
+    result.probes = std::move(probes);
+  }
   return result;
 }
 

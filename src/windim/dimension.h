@@ -12,22 +12,23 @@
 // options, and every trace, log and counter of a run is identical on
 // any machine.  The only parallelism is inside a solve: the chain-block
 // sweeps of DimensionOptions::solver_pool, bit-identical to serial.
+//
+// Observation is one switch and one record: an observed run
+// (DimensionOptions::observe) returns one obs::ProbeRecord per resolved
+// probe in DimensionResult::probes, and the search trace, convergence
+// log, replay spans and windim.convergence.* counters are renderers
+// over that record (obs/probe.h).
 #pragma once
 
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/probe.h"
 #include "search/pattern_search.h"
 #include "solver/workspace.h"
 #include "windim/objectives.h"
 #include "windim/problem.h"
-
-namespace windim::obs {
-class ConvergenceLog;
-class SearchTrace;
-class SpanTracer;
-}  // namespace windim::obs
 
 namespace windim::util {
 class ThreadPool;  // util/thread_pool.h
@@ -41,11 +42,10 @@ namespace windim::core {
 using DimensionObjective = ObjectiveKind;
 
 struct DimensionOptions {
-  Evaluator evaluator = Evaluator::kHeuristicMva;
   /// Registry name of the evaluation solver (solver::SolverRegistry).
-  /// Empty = use `evaluator`'s solver.  Unknown names are rejected with
-  /// std::invalid_argument listing the available solvers.
-  std::string solver;
+  /// Unknown names are rejected with std::invalid_argument listing the
+  /// available solvers.
+  std::string solver = "heuristic-mva";
   mva::ApproxMvaOptions mva;
   DimensionObjective objective = DimensionObjective::kPower;
   /// Exponent alpha for kGeneralizedPower.
@@ -79,8 +79,8 @@ struct DimensionOptions {
   util::ThreadPool* solver_pool = nullptr;
   /// Seed each heuristic-MVA evaluation from the converged state of the
   /// nearest already-accepted base point (fewer fixed-point iterations
-  /// for the neighboring probes pattern search generates).  Only the
-  /// heuristic-MVA evaluator uses this.
+  /// for the neighboring probes pattern search generates).  Only
+  /// solvers whose traits support warm starts use this.
   bool warm_start = true;
   /// Budget of fresh objective evaluations for the whole run.  On
   /// exhaustion the search returns its best point so far with
@@ -91,20 +91,13 @@ struct DimensionOptions {
   /// after the first run — what bench_perf_dimension's allocation gate
   /// measures).  Null = a pool private to this run.
   solver::WorkspacePool* workspaces = nullptr;
-  /// Optional structured search trace: one record per probe (step,
-  /// windows, F, P, solver, cache-hit flag, warm-start anchor); see
-  /// obs/trace.h.  Null (the default) skips all trace bookkeeping.
-  obs::SearchTrace* trace = nullptr;
-  /// Optional per-solve convergence log (obs/convergence.h): every
-  /// fresh evaluation's SolveRecord — residual stream, classification —
-  /// appended in probe order.  Null skips all recording.
-  obs::ConvergenceLog* convergence = nullptr;
-  /// Optional hierarchical span tracer (obs/span.h).  The search phase
-  /// opens a real span on the calling thread; each probe synthesizes
-  /// its probe -> solve -> iterate subtree onto a virtual "replay"
-  /// track, so the trace is identical across runs once timestamps are
-  /// normalized.  Null skips all tracing.
-  obs::SpanTracer* spans = nullptr;
+  /// Observe the run: fill DimensionResult::probes, open the real
+  /// "search"/"explore" spans and render the "replay" track into
+  /// obs::SpanTracer::global() (both no-ops while that tracer is
+  /// disabled), and add the run's windim.convergence.* counters to the
+  /// global metrics registry (a no-op while it is disabled).  Off (the
+  /// default), the run does no observation bookkeeping at all.
+  bool observe = false;
   /// Cooperative deadline/cancellation token (util/cancel.h), polled
   /// before every probe and once per MVA sweep.  On
   /// expiry the search returns its best point so far with
@@ -139,6 +132,10 @@ struct DimensionResult {
   std::size_t cache_hits = 0;
   /// Base-point trajectory of the pattern search (diagnostics).
   std::vector<std::pair<std::vector<int>, double>> base_points;
+  /// One record per resolved probe, in probe order, when
+  /// DimensionOptions::observe is set (empty otherwise); a fresh
+  /// evaluation's record carries its SolveRecord.
+  std::vector<obs::ProbeRecord> probes;
 };
 
 /// Runs WINDIM on `problem`.  Throws std::invalid_argument on malformed

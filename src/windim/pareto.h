@@ -25,7 +25,7 @@
 namespace windim::core {
 
 struct ParetoOptions {
-  /// Per-solve engine configuration (evaluator, solver, bounds, sweep
+  /// Per-solve engine configuration (solver, bounds, sweep
   /// pool, budget, workspaces, cancel...).  `base.objective`, `base.
   /// min_fairness` and `base.initial_windows` are overridden by the
   /// scan; everything else applies to every solve.

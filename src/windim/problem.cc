@@ -9,22 +9,6 @@
 
 namespace windim::core {
 
-const char* to_string(Evaluator e) noexcept {
-  switch (e) {
-    case Evaluator::kHeuristicMva:
-      return "heuristic-mva";
-    case Evaluator::kExactMva:
-      return "exact-mva";
-    case Evaluator::kConvolution:
-      return "convolution";
-    case Evaluator::kSemiclosed:
-      return "semiclosed";
-    case Evaluator::kLinearizer:
-      return "linearizer";
-  }
-  return "?";
-}
-
 WindowProblem::WindowProblem(const net::Topology& topology,
                              std::vector<net::TrafficClass> classes)
     : classes_(std::move(classes)) {
@@ -203,12 +187,12 @@ Evaluation WindowProblem::evaluate_with(
 }
 
 Evaluation WindowProblem::evaluate(const std::vector<int>& windows,
-                                   Evaluator evaluator,
+                                   std::string_view solver_name,
                                    const mva::ApproxMvaOptions& mva_options,
                                    const mva::MvaWarmStart* warm_start,
                                    mva::MvaWarmStart* final_state) const {
   const solver::Solver& solver =
-      solver::SolverRegistry::instance().require(to_string(evaluator));
+      solver::SolverRegistry::instance().require(solver_name);
   thread_local solver::Workspace ws;
   return evaluate_with(windows, solver, ws, &mva_options, warm_start,
                        final_state);

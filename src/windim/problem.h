@@ -22,6 +22,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mva/approx.h"
@@ -32,26 +33,6 @@
 #include "solver/solver.h"
 
 namespace windim::core {
-
-/// Which analytic engine evaluates a window setting.  Kept as a stable
-/// shorthand for the most useful registry solvers; to_string(e) is the
-/// solver's registry name, so any solver::SolverRegistry name works
-/// where a string is accepted (see DimensionOptions::solver).
-enum class Evaluator {
-  kHeuristicMva,  // thesis WINDIM evaluator (fast, approximate)
-  kExactMva,      // exact multichain MVA (lattice cost)
-  kConvolution,   // multichain convolution algorithm (lattice cost)
-  /// Semiclosed-chain model (thesis 3.3.3): Poisson sources blocked at
-  /// the window limit instead of the closed model's exponential source
-  /// queue.  Slightly different abstraction of the same flow control;
-  /// carried throughput = S_r (1 - P_block,r).  Lattice cost.
-  kSemiclosed,
-  /// Chandy-Neuse Linearizer: higher-accuracy approximate MVA at a few
-  /// times the heuristic's cost (still no lattice).
-  kLinearizer,
-};
-
-[[nodiscard]] const char* to_string(Evaluator e) noexcept;
 
 /// Performance of one window setting.
 struct Evaluation {
@@ -134,13 +115,15 @@ class WindowProblem {
       mva::MvaWarmStart* final_state = nullptr,
       obs::ConvergenceRecorder* convergence = nullptr) const;
 
-  /// Evaluates a window setting.  Throws std::invalid_argument on a
-  /// malformed window vector (size mismatch or negative entries).
-  /// Convenience wrapper over evaluate_with: resolves the evaluator's
-  /// registry solver and uses a thread-local workspace.
+  /// Evaluates a window setting with the registry solver named
+  /// `solver` (e.g. "heuristic-mva", the thesis evaluator, or the exact
+  /// "convolution", "exact-mva", "semiclosed", "linearizer").  Throws
+  /// std::invalid_argument on an unknown solver name or a malformed
+  /// window vector (size mismatch or negative entries).  Convenience
+  /// wrapper over evaluate_with with a thread-local workspace.
   [[nodiscard]] Evaluation evaluate(
       const std::vector<int>& windows,
-      Evaluator evaluator = Evaluator::kHeuristicMva,
+      std::string_view solver = "heuristic-mva",
       const mva::ApproxMvaOptions& mva_options = {},
       const mva::MvaWarmStart* warm_start = nullptr,
       mva::MvaWarmStart* final_state = nullptr) const;

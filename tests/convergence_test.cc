@@ -3,12 +3,14 @@
 // ever leaving its initialization and must be reported STAGNATED, not
 // converged), the recorder's ring/envelope contract, the summary path
 // for non-iterative solvers (iterations == 1, empty ring), the
-// run-level log, and the monotone-or-classified property of every
-// record a real dimensioning run produces.
+// convergence renderers over an observed run's probe record, the
+// per-run windim.convergence.* counters, and the monotone-or-classified
+// property of every record a real dimensioning run produces.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mva/approx.h"
@@ -16,6 +18,7 @@
 #include "obs/convergence.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/probe.h"
 #include "qn/compiled_model.h"
 #include "qn/network.h"
 #include "solver/registry.h"
@@ -27,7 +30,6 @@ namespace windim {
 namespace {
 
 using obs::ConvergenceClass;
-using obs::ConvergenceLog;
 using obs::ConvergenceRecorder;
 using obs::IterationSample;
 using obs::SolveRecord;
@@ -295,23 +297,9 @@ TEST(ConvergenceSolvers, ApproxMvaEntryPointStreamsThroughOptions) {
 }
 
 // ---------------------------------------------------------------------
-// ConvergenceLog + end-to-end dimensioning run
+// Convergence renderers over an observed dimensioning run
 
-TEST(ConvergenceLog, CountsAndDropsOldest) {
-  ConvergenceLog log(/*capacity=*/2);
-  for (int i = 0; i < 5; ++i) {
-    SolveRecord r = streamed_record({1e-2, 1e-6}, true);
-    r.classification = obs::classify(r);
-    log.append(std::move(r));
-  }
-  EXPECT_EQ(log.total_appended(), 5u);
-  EXPECT_EQ(log.dropped(), 3u);
-  EXPECT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.count_of(ConvergenceClass::kConverged), 5u);
-  EXPECT_EQ(log.total_iterations(), 10u);
-}
-
-TEST(ConvergenceLog, DimensioningRunIsMonotoneOrClassified) {
+TEST(ConvergenceRecords, DimensioningRunIsMonotoneOrClassified) {
   // Thesis fixture end-to-end: every solve the engine performs must
   // either be a genuinely converged record (residual fell over the
   // stream) or carry a non-converged classification explaining why
@@ -319,18 +307,18 @@ TEST(ConvergenceLog, DimensioningRunIsMonotoneOrClassified) {
   // the bug this harness exists to catch.
   const core::WindowProblem problem(net::canada_topology(),
                                     net::four_class_traffic(6, 6, 6, 12));
-  ConvergenceLog log;
   core::DimensionOptions options;
-  options.convergence = &log;
+  options.observe = true;
   const core::DimensionResult result =
       core::dimension_windows(problem, options);
   EXPECT_FALSE(result.optimal_windows.empty());
 
-  const std::vector<SolveRecord> records = log.records();
-  ASSERT_GT(records.size(), 0u);
-  // Exactly one record per fresh evaluation; revisits log nothing.
-  EXPECT_EQ(log.total_appended(),
-            static_cast<std::uint64_t>(result.objective_evaluations));
+  std::vector<SolveRecord> records;
+  for (const obs::ProbeRecord& p : result.probes) {
+    if (p.solve) records.push_back(*p.solve);
+  }
+  // Exactly one record per fresh evaluation; revisits record nothing.
+  EXPECT_EQ(records.size(), result.objective_evaluations);
   for (const SolveRecord& r : records) {
     EXPECT_EQ(r.classification, obs::classify(r));
     if (r.classification == ConvergenceClass::kConverged &&
@@ -344,8 +332,8 @@ TEST(ConvergenceLog, DimensioningRunIsMonotoneOrClassified) {
     }
   }
 
-  // The JSONL export is one valid JSON object per line, in order.
-  const std::string jsonl = log.to_jsonl();
+  // The JSONL export is one valid JSON object per solve, in order.
+  const std::string jsonl = obs::convergence_jsonl(result.probes);
   std::size_t lines = 0;
   std::size_t start = 0;
   while (start < jsonl.size()) {
@@ -354,7 +342,10 @@ TEST(ConvergenceLog, DimensioningRunIsMonotoneOrClassified) {
     const auto parsed = obs::parse_json(jsonl.substr(start, end - start));
     ASSERT_TRUE(parsed.has_value());
     ASSERT_TRUE(parsed->is_object());
-    EXPECT_NE(parsed->find("solver"), nullptr);
+    ASSERT_LT(lines, records.size());
+    EXPECT_EQ(parsed->string_or("solver", ""), records[lines].solver);
+    EXPECT_EQ(parsed->number_or("iterations", -1.0),
+              records[lines].iterations);
     EXPECT_NE(parsed->find("class"), nullptr);
     EXPECT_NE(parsed->find("samples"), nullptr);
     ++lines;
@@ -363,29 +354,71 @@ TEST(ConvergenceLog, DimensioningRunIsMonotoneOrClassified) {
   EXPECT_EQ(lines, records.size());
 }
 
-TEST(ConvergenceLog, ExportMetricsFeedsTheGlobalRegistry) {
+/// Runs `run` with the global metrics registry on and returns how much
+/// each named counter grew during it.
+template <typename Run>
+auto counter_growth(Run&& run) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   reg.set_enabled(true);
-  const obs::MetricsSnapshot before = reg.snapshot();
-  ConvergenceLog log;
-  SolveRecord ok = streamed_record({1e-2, 1e-6}, true);
-  ok.classification = obs::classify(ok);
-  log.append(std::move(ok));
-  SolveRecord stuck = streamed_record({0.0}, true);
-  stuck.classification = obs::classify(stuck);
-  log.append(std::move(stuck));
-  log.export_metrics();
-  const obs::MetricsSnapshot after = reg.snapshot();
+  obs::MetricsSnapshot before = reg.snapshot();
+  run();
+  obs::MetricsSnapshot after = reg.snapshot();
   reg.set_enabled(false);
-  EXPECT_EQ(after.counter_or("windim.convergence.solves") -
-                before.counter_or("windim.convergence.solves"),
-            2u);
-  EXPECT_EQ(after.counter_or("windim.convergence.stagnated") -
-                before.counter_or("windim.convergence.stagnated"),
-            1u);
-  EXPECT_EQ(after.counter_or("windim.convergence.iterations") -
-                before.counter_or("windim.convergence.iterations"),
-            3u);
+  return [before = std::move(before),
+          after = std::move(after)](const char* name) {
+    return after.counter_or(name) - before.counter_or(name);
+  };
+}
+
+TEST(ConvergenceRecords, ExportMetricsCountsOnlyTheGivenSolves) {
+  std::vector<obs::ProbeRecord> probes(3);
+  probes[0].solve = streamed_record({1e-2, 1e-6}, true);
+  probes[0].solve->classification = obs::classify(*probes[0].solve);
+  probes[1].cache_hit = true;  // a revisit: no solve, counts nothing
+  probes[2].solve = streamed_record({0.0}, true);
+  probes[2].solve->classification = obs::classify(*probes[2].solve);
+  const auto added =
+      counter_growth([&] { obs::export_convergence_metrics(probes); });
+  EXPECT_EQ(added("windim.convergence.solves"), 2u);
+  EXPECT_EQ(added("windim.convergence.converged"), 1u);
+  EXPECT_EQ(added("windim.convergence.stagnated"), 1u);
+  EXPECT_EQ(added("windim.convergence.oscillating"), 0u);
+  EXPECT_EQ(added("windim.convergence.diverged"), 0u);
+  EXPECT_EQ(added("windim.convergence.iterations"), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Per-run windim.convergence.* counters
+
+TEST(ConvergenceRecords, ObservedParetoScanCountsEachSolveOnce) {
+  // Every solve of the scan is one fresh evaluation of one of its runs,
+  // so the two counters move together.  A log shared by the scan's runs
+  // and exported after each of them counted 1425 solves here.
+  const core::WindowProblem problem(net::canada_topology(),
+                                    net::four_class_traffic(6, 6, 6, 12));
+  core::ParetoOptions options;
+  options.base.observe = true;
+  const auto added =
+      counter_growth([&] { (void)core::pareto_front(problem, options); });
+  EXPECT_EQ(added("search.evaluations"), 228u);
+  EXPECT_EQ(added("windim.convergence.solves"),
+            added("search.evaluations"));
+}
+
+TEST(ConvergenceRecords, ConsecutiveObservedRunsCountOnlyTheirOwnSolves) {
+  const core::WindowProblem problem(net::canada_topology(),
+                                    net::four_class_traffic(6, 6, 6, 12));
+  core::DimensionOptions options;
+  options.observe = true;
+  for (int run = 0; run < 2; ++run) {
+    core::DimensionResult result;
+    const auto added = counter_growth(
+        [&] { result = core::dimension_windows(problem, options); });
+    EXPECT_GT(result.objective_evaluations, 0u);
+    EXPECT_EQ(added("windim.convergence.solves"),
+              result.objective_evaluations)
+        << "run " << run;
+  }
 }
 
 }  // namespace

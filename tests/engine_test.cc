@@ -14,7 +14,7 @@
 #include "mva/approx.h"
 #include "net/examples.h"
 #include "net/generators.h"
-#include "obs/trace.h"
+#include "obs/probe.h"
 #include "qn/cyclic.h"
 #include "search/pattern_search.h"
 #include "solver/registry.h"
@@ -315,13 +315,12 @@ TEST(PackedWarmStartTest, DimensionMatchesDenseReferenceBitForBit) {
     SCOPED_TRACE(solver);
     core::DimensionOptions options;
     options.solver = solver;
-    obs::SearchTrace trace;
-    options.trace = &trace;
+    options.observe = true;
     const core::DimensionResult packed = dimension_windows(problem, options);
     const DenseRun dense = dense_reference_run(problem, options);
 
     std::vector<Probe> probes;
-    for (const obs::TraceRecord& rec : trace.records()) {
+    for (const obs::ProbeRecord& rec : packed.probes) {
       probes.push_back({rec.windows, rec.objective_vector, rec.cache_hit});
     }
     ASSERT_GT(dense.probes.size(), 100u);

@@ -55,9 +55,9 @@ TEST(IntegrationTest, HeuristicTracksExactAcrossWindowGrid) {
   for (int e1 = 1; e1 <= 6; ++e1) {
     for (int e2 = 1; e2 <= 6; ++e2) {
       const core::Evaluation h =
-          problem.evaluate({e1, e2}, core::Evaluator::kHeuristicMva);
+          problem.evaluate({e1, e2}, "heuristic-mva");
       const core::Evaluation x =
-          problem.evaluate({e1, e2}, core::Evaluator::kConvolution);
+          problem.evaluate({e1, e2}, "convolution");
       worst_error = std::max(worst_error,
                              std::abs(h.power - x.power) / x.power);
       if (h.power > best_heur_power) {
@@ -84,7 +84,7 @@ TEST(IntegrationTest, ClosedChainModelApproximatesMsgNetSimulation) {
   const core::WindowProblem problem(net::canada_topology(),
                                     net::two_class_traffic(s1, s2));
   const core::Evaluation analytic =
-      problem.evaluate(windows, core::Evaluator::kConvolution);
+      problem.evaluate(windows, "convolution");
 
   sim::MsgNetOptions options;
   options.windows = windows;
@@ -155,12 +155,12 @@ TEST(IntegrationTest, ExactEvaluatorDimensioningAgreesWithHeuristic) {
                                     net::two_class_traffic(25.0, 25.0));
   core::DimensionOptions heuristic;
   core::DimensionOptions exact;
-  exact.evaluator = core::Evaluator::kConvolution;
+  exact.solver = "convolution";
   exact.max_window = 8;
   const core::DimensionResult h = core::dimension_windows(problem, heuristic);
   const core::DimensionResult x = core::dimension_windows(problem, exact);
   const core::Evaluation h_at_exact =
-      problem.evaluate(h.optimal_windows, core::Evaluator::kConvolution);
+      problem.evaluate(h.optimal_windows, "convolution");
   EXPECT_NEAR(h_at_exact.power, x.evaluation.power,
               0.03 * x.evaluation.power);
 }

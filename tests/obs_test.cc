@@ -1,8 +1,9 @@
 // The observability layer: MetricsRegistry semantics (cross-thread
 // merge, snapshot isolation, reset, disabled-mode no-ops), the JSON
-// writer, the search-trace ring, and the determinism contract — the
-// JSONL trace of a dimensioning run is byte-identical with and without
-// a chain-block sweep pool.
+// writer, the probe record of an observed run and its search-trace
+// renderer, and the determinism contract — the JSONL trace of a
+// dimensioning run is byte-identical with and without a chain-block
+// sweep pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +16,7 @@
 #include "obs/derived.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/probe.h"
 #include "sweep_fixture.h"
 #include "util/thread_pool.h"
 #include "windim/dimension.h"
@@ -261,24 +262,8 @@ TEST(DerivedMetricsTest, EvaluationCarriesFairnessOverChainPowers) {
 
 // ---------------------------------------------------------------- trace
 
-TEST(SearchTraceTest, RingDropsOldestOnOverflow) {
-  obs::SearchTrace trace(4);
-  for (int i = 0; i < 6; ++i) {
-    obs::TraceRecord r;
-    r.step = static_cast<std::uint64_t>(i);
-    trace.append(std::move(r));
-  }
-  EXPECT_EQ(trace.total_appended(), 6u);
-  EXPECT_EQ(trace.dropped(), 2u);
-  const std::vector<obs::TraceRecord> records = trace.records();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(records.front().step, 2u);
-  EXPECT_EQ(records.back().step, 5u);
-}
-
 TEST(SearchTraceTest, JsonlHasFixedFieldOrder) {
-  obs::SearchTrace trace;
-  obs::TraceRecord r;
+  obs::ProbeRecord r;
   r.step = 3;
   r.windows = {2, 5};
   r.objective = 0.125;
@@ -288,20 +273,11 @@ TEST(SearchTraceTest, JsonlHasFixedFieldOrder) {
   r.solver = "heuristic-mva";
   r.cache_hit = true;
   r.anchor = {2, 4};
-  trace.append(std::move(r));
-  EXPECT_EQ(trace.to_jsonl(),
+  EXPECT_EQ(obs::search_trace_jsonl({r}),
             "{\"step\":3,\"windows\":[2,5],\"F\":0.125,\"obj\":[0.125,-0.5],"
             "\"viol\":0.25,\"P\":8,"
             "\"solver\":\"heuristic-mva\",\"cache_hit\":true,"
             "\"anchor\":[2,4],\"thread\":0}\n");
-}
-
-TEST(SearchTraceTest, ClearResetsRecords) {
-  obs::SearchTrace trace;
-  trace.append(obs::TraceRecord{});
-  trace.clear();
-  EXPECT_EQ(trace.total_appended(), 0u);
-  EXPECT_TRUE(trace.records().empty());
 }
 
 // ------------------------------------------- trace determinism contract
@@ -309,11 +285,10 @@ TEST(SearchTraceTest, ClearResetsRecords) {
 std::string trace_of_run(const core::WindowProblem& problem,
                          core::DimensionOptions options,
                          core::DimensionResult* result_out = nullptr) {
-  obs::SearchTrace trace;
-  options.trace = &trace;
+  options.observe = true;
   const core::DimensionResult result = dimension_windows(problem, options);
   if (result_out != nullptr) *result_out = result;
-  return trace.to_jsonl();
+  return obs::search_trace_jsonl(result.probes);
 }
 
 TEST(SearchTraceTest, DimensionTraceHasOneRecordPerProbe) {
@@ -323,9 +298,11 @@ TEST(SearchTraceTest, DimensionTraceHasOneRecordPerProbe) {
   const std::string trace = trace_of_run(problem, {}, &result);
   ASSERT_FALSE(trace.empty());
   // One record per resolved probe: evaluations + revisits.
+  EXPECT_EQ(result.probes.size(),
+            result.objective_evaluations + result.cache_hits);
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(trace.begin(), trace.end(), '\n')),
-            result.objective_evaluations + result.cache_hits);
+            result.probes.size());
 }
 
 TEST(SearchTraceTest, TraceIsByteIdenticalWithAndWithoutSweepPool) {
@@ -337,14 +314,13 @@ TEST(SearchTraceTest, TraceIsByteIdenticalWithAndWithoutSweepPool) {
   EXPECT_EQ(serial, trace_of_run(problem, test::sweep_options(&pool)));
 }
 
-TEST(SearchTraceTest, TraceRecordsCarrySolverAndAnchors) {
+TEST(SearchTraceTest, ProbeRecordsCarrySolverAnchorsAndSolves) {
   const core::WindowProblem problem(net::canada_topology(),
                                     net::two_class_traffic(20.0, 20.0));
-  obs::SearchTrace trace;
   core::DimensionOptions options;
-  options.trace = &trace;
-  (void)dimension_windows(problem, options);
-  const std::vector<obs::TraceRecord> records = trace.records();
+  options.observe = true;
+  const core::DimensionResult result = dimension_windows(problem, options);
+  const std::vector<obs::ProbeRecord>& records = result.probes;
   ASSERT_FALSE(records.empty());
   // Step indices are the serial probe order.
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -356,25 +332,38 @@ TEST(SearchTraceTest, TraceRecordsCarrySolverAndAnchors) {
   EXPECT_FALSE(records.front().cache_hit);
   EXPECT_TRUE(records.front().anchor.empty());
   // Warm starts kick in after the first base point: some later fresh
-  // probe must carry a non-empty anchor.
+  // probe must carry a non-empty anchor.  Every fresh probe carries its
+  // solve; a revisit evaluated nothing, so it carries neither.
   bool saw_anchor = false;
-  for (const obs::TraceRecord& r : records) {
+  std::size_t solves = 0;
+  for (const obs::ProbeRecord& r : records) {
     if (!r.cache_hit && !r.anchor.empty()) saw_anchor = true;
+    EXPECT_EQ(r.solve.has_value(), !r.cache_hit);
+    if (r.cache_hit) {
+      EXPECT_TRUE(r.anchor.empty());
+    }
+    if (r.solve) {
+      ++solves;
+      EXPECT_EQ(r.solve->solver, "heuristic-mva");
+      EXPECT_EQ(r.solve->warm_started, !r.anchor.empty());
+    }
   }
   EXPECT_TRUE(saw_anchor);
+  EXPECT_EQ(solves, result.objective_evaluations);
 }
 
-TEST(SearchTraceTest, NullTraceKeepsDimensionUntouched) {
-  // Same run with and without a trace: identical result (the hook only
-  // observes).
+TEST(SearchTraceTest, ObservingLeavesTheRunUntouched) {
+  // Same run with and without observation: identical result (the probe
+  // hook only observes), and an unobserved run keeps no record.
   const core::WindowProblem problem(net::canada_topology(),
                                     net::two_class_traffic(20.0, 20.0));
   core::DimensionOptions plain;
   const core::DimensionResult a = dimension_windows(problem, plain);
-  obs::SearchTrace trace;
-  core::DimensionOptions traced;
-  traced.trace = &trace;
-  const core::DimensionResult b = dimension_windows(problem, traced);
+  core::DimensionOptions observed;
+  observed.observe = true;
+  const core::DimensionResult b = dimension_windows(problem, observed);
+  EXPECT_TRUE(a.probes.empty());
+  EXPECT_FALSE(b.probes.empty());
   EXPECT_EQ(a.optimal_windows, b.optimal_windows);
   EXPECT_EQ(a.base_points, b.base_points);
   EXPECT_EQ(a.objective_evaluations, b.objective_evaluations);

@@ -164,7 +164,7 @@ TEST_P(WindowSweepProperty, ThroughputMonotoneAndBounded) {
   double previous = -1.0;
   for (int e = 1; e <= 6; ++e) {
     const core::Evaluation ev =
-        problem.evaluate({e, e}, core::Evaluator::kConvolution);
+        problem.evaluate({e, e}, "convolution");
     // Monotone in the window.
     EXPECT_GT(ev.throughput, previous);
     previous = ev.throughput;

@@ -157,7 +157,7 @@ TEST(ReproductionTest, KleinrockIsolatedChainOptimumNearHopCount) {
     double best_power = -1.0;
     for (int e = 1; e <= 2 * hops + 2; ++e) {
       const double power =
-          p.evaluate({e}, core::Evaluator::kConvolution).power;
+          p.evaluate({e}, "convolution").power;
       if (power > best_power) {
         best_power = power;
         best = e;
@@ -175,7 +175,7 @@ TEST(ReproductionTest, HeuristicPowerWithinThreePercentOnGrid) {
     for (int e2 = 1; e2 <= 5; ++e2) {
       const double h = p.evaluate({e1, e2}).power;
       const double x =
-          p.evaluate({e1, e2}, core::Evaluator::kConvolution).power;
+          p.evaluate({e1, e2}, "convolution").power;
       EXPECT_LT(std::abs(h - x) / x, 0.03) << "(" << e1 << "," << e2 << ")";
     }
   }

@@ -348,7 +348,7 @@ TEST(SemiclosedWindowTest, EvaluatorRunsOnTwoClassNetwork) {
   const core::WindowProblem problem(net::canada_topology(),
                                     net::two_class_traffic(20.0, 20.0));
   const core::Evaluation ev =
-      problem.evaluate({4, 4}, core::Evaluator::kSemiclosed);
+      problem.evaluate({4, 4}, "semiclosed");
   EXPECT_GT(ev.throughput, 0.0);
   EXPECT_LE(ev.class_throughput[0], 20.0 + 1e-9);  // carried <= offered
   EXPECT_GT(ev.power, 0.0);
@@ -362,7 +362,7 @@ TEST(SemiclosedWindowTest, MatchesDropTailSimulator) {
   const core::WindowProblem problem(net::canada_topology(),
                                     net::two_class_traffic(25.0, 25.0));
   const core::Evaluation analytic =
-      problem.evaluate(windows, core::Evaluator::kSemiclosed);
+      problem.evaluate(windows, "semiclosed");
 
   sim::MsgNetOptions options;
   options.windows = windows;
@@ -384,7 +384,7 @@ TEST(SemiclosedWindowTest, ConvergesToClosedModelOrdering) {
   double prev_thr = 0.0, prev_delay = 0.0;
   for (int e = 1; e <= 6; ++e) {
     const core::Evaluation ev =
-        problem.evaluate({e, e}, core::Evaluator::kSemiclosed);
+        problem.evaluate({e, e}, "semiclosed");
     EXPECT_GT(ev.throughput, prev_thr);
     EXPECT_GT(ev.mean_delay, prev_delay);
     prev_thr = ev.throughput;
@@ -396,13 +396,9 @@ TEST(SemiclosedWindowTest, ZeroWindowBlocksEverything) {
   const core::WindowProblem problem(net::canada_topology(),
                                     net::two_class_traffic(20.0, 20.0));
   const core::Evaluation ev =
-      problem.evaluate({0, 3}, core::Evaluator::kSemiclosed);
+      problem.evaluate({0, 3}, "semiclosed");
   EXPECT_DOUBLE_EQ(ev.class_throughput[0], 0.0);
   EXPECT_GT(ev.class_throughput[1], 0.0);
-}
-
-TEST(SemiclosedWindowTest, EvaluatorName) {
-  EXPECT_STREQ(core::to_string(core::Evaluator::kSemiclosed), "semiclosed");
 }
 
 }  // namespace

@@ -273,7 +273,7 @@ TEST(MsgNetSimTest, ChannelQueuesMatchClosedModelAtMatchedWindows) {
   const core::WindowProblem problem(topo, classes);
   const qn::CyclicNetwork net = problem.network(windows);
   const core::Evaluation analytic =
-      problem.evaluate(windows, core::Evaluator::kSemiclosed);
+      problem.evaluate(windows, "semiclosed");
   (void)analytic;
   // Compare channel queue lengths against the semiclosed solver.
   qn::NetworkModel route_model;

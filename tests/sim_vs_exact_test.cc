@@ -88,7 +88,7 @@ TEST(SimVsExact, StationaryScenarioPathRecoversSemiclosedAnalytics) {
   const std::vector<int> windows{3, 3};
   const core::WindowProblem problem(topo, classes);
   const core::Evaluation analytic =
-      problem.evaluate(windows, core::Evaluator::kSemiclosed);
+      problem.evaluate(windows, "semiclosed");
 
   // A constant profile: thinning accepts every candidate, but the event
   // stream is generated by the scenario path, not the legacy one.

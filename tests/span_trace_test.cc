@@ -1,9 +1,10 @@
 // Hierarchical span tracing: Scope nesting and the disabled-guard
 // contract, Chrome trace-event JSON structure (metadata first, complete
 // events with depth as the first arg), correctly nested depths per
-// track, and the headline determinism property — the span trace of a
-// dimensioning run is byte-identical with and without a chain-block
-// sweep pool once timestamps and durations are normalized.
+// track, that only an observed run records spans, and the headline
+// determinism property — the span trace of a dimensioning run is
+// byte-identical with and without a chain-block sweep pool once
+// timestamps and durations are normalized.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -57,18 +58,24 @@ std::string normalize_times(const std::string& json) {
   return out;
 }
 
+/// The process-wide tracer's JSON for one dimensioning run (observed
+/// unless `observe` is false), starting from and leaving an empty,
+/// disabled tracer.
 std::string traced_dimension_json(
     const core::WindowProblem& problem = core::WindowProblem(
         net::canada_topology(), net::four_class_traffic(6, 6, 6, 12)),
-    core::DimensionOptions options = {}) {
-  SpanTracer tracer;
+    core::DimensionOptions options = {}, bool observe = true) {
+  SpanTracer& tracer = SpanTracer::global();
+  tracer.clear();
   tracer.set_enabled(true);
-  options.spans = &tracer;
+  options.observe = observe;
   const core::DimensionResult result =
       core::dimension_windows(problem, options);
   EXPECT_FALSE(result.optimal_windows.empty());
   tracer.set_enabled(false);
-  return tracer.to_json();
+  std::string json = tracer.to_json();
+  tracer.clear();
+  return json;
 }
 
 TEST(SpanTracer, DisabledTracerRecordsNothing) {
@@ -190,6 +197,22 @@ TEST(SpanTracer, DepthsFormAValidForestPerTrack) {
     }
     last_depth[tid] = depth;
   }
+}
+
+TEST(SpanTracer, UnobservedRunRecordsNoSpans) {
+  // Scenario cells, Pareto scans and serve requests run unobserved: an
+  // enabled process-wide tracer must not collect their search spans.
+  const std::string json = traced_dimension_json(
+      core::WindowProblem(net::canada_topology(),
+                          net::four_class_traffic(6, 6, 6, 12)),
+      {}, /*observe=*/false);
+  const auto parsed = obs::parse_json(json);
+  ASSERT_TRUE(parsed.has_value());
+  const obs::JsonValue* events = parsed->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  // Only the process_name metadata entry: no track, no span.
+  ASSERT_EQ(events->array.size(), 1u);
+  EXPECT_EQ(events->array[0].string_or("name", ""), "process_name");
 }
 
 TEST(SpanTracer, TraceIsByteIdenticalWithAndWithoutSweepPool) {

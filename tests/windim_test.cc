@@ -67,9 +67,9 @@ TEST(WindowProblemTest, SymmetricLoadsGiveSymmetricEvaluation) {
 
 TEST(WindowProblemTest, EvaluatorsAgreeReasonably) {
   const WindowProblem p = two_class_problem();
-  const Evaluation heuristic = p.evaluate({3, 3}, Evaluator::kHeuristicMva);
-  const Evaluation exact_mva = p.evaluate({3, 3}, Evaluator::kExactMva);
-  const Evaluation convolution = p.evaluate({3, 3}, Evaluator::kConvolution);
+  const Evaluation heuristic = p.evaluate({3, 3}, "heuristic-mva");
+  const Evaluation exact_mva = p.evaluate({3, 3}, "exact-mva");
+  const Evaluation convolution = p.evaluate({3, 3}, "convolution");
   // The two exact engines agree to solver precision.
   EXPECT_NEAR(exact_mva.power, convolution.power, 1e-6 * exact_mva.power);
   // The heuristic is within a few percent (thesis 4.2).
@@ -80,7 +80,7 @@ TEST(WindowProblemTest, ThroughputIncreasesWithWindow) {
   const WindowProblem p = two_class_problem();
   double previous = 0.0;
   for (int e = 1; e <= 8; ++e) {
-    const Evaluation ev = p.evaluate({e, e}, Evaluator::kConvolution);
+    const Evaluation ev = p.evaluate({e, e}, "convolution");
     EXPECT_GT(ev.throughput, previous);
     previous = ev.throughput;
   }
@@ -90,7 +90,7 @@ TEST(WindowProblemTest, DelayIncreasesWithWindow) {
   const WindowProblem p = two_class_problem();
   double previous = 0.0;
   for (int e = 1; e <= 8; ++e) {
-    const Evaluation ev = p.evaluate({e, e}, Evaluator::kConvolution);
+    const Evaluation ev = p.evaluate({e, e}, "convolution");
     EXPECT_GT(ev.mean_delay, previous);
     previous = ev.mean_delay;
   }
@@ -98,7 +98,7 @@ TEST(WindowProblemTest, DelayIncreasesWithWindow) {
 
 TEST(WindowProblemTest, ZeroWindowClosesChannel) {
   const WindowProblem p = two_class_problem();
-  const Evaluation ev = p.evaluate({0, 3}, Evaluator::kConvolution);
+  const Evaluation ev = p.evaluate({0, 3}, "convolution");
   EXPECT_DOUBLE_EQ(ev.class_throughput[0], 0.0);
   EXPECT_GT(ev.class_throughput[1], 0.0);
 }
@@ -177,7 +177,7 @@ TEST(DimensionTest, CustomInitialWindows) {
 
 TEST(DimensionTest, ExactEvaluatorWorksOnSmallBox) {
   DimensionOptions options;
-  options.evaluator = Evaluator::kConvolution;
+  options.solver = "convolution";
   options.max_window = 6;
   const DimensionResult r =
       dimension_windows(two_class_problem(), options);
@@ -212,17 +212,10 @@ TEST(DimensionTest, RejectsBadOptions) {
                std::invalid_argument);
 }
 
-TEST(DimensionTest, EvaluatorNames) {
-  EXPECT_STREQ(to_string(Evaluator::kHeuristicMva), "heuristic-mva");
-  EXPECT_STREQ(to_string(Evaluator::kExactMva), "exact-mva");
-  EXPECT_STREQ(to_string(Evaluator::kConvolution), "convolution");
-  EXPECT_STREQ(to_string(Evaluator::kLinearizer), "linearizer");
-}
-
 TEST(DimensionTest, LinearizerEvaluatorAgreesWithExact) {
   const WindowProblem p = two_class_problem();
-  const Evaluation lin = p.evaluate({3, 3}, Evaluator::kLinearizer);
-  const Evaluation exact = p.evaluate({3, 3}, Evaluator::kExactMva);
+  const Evaluation lin = p.evaluate({3, 3}, "linearizer");
+  const Evaluation exact = p.evaluate({3, 3}, "exact-mva");
   EXPECT_NEAR(lin.power, exact.power, 0.01 * exact.power);
 }
 
