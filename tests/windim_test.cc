@@ -107,6 +107,8 @@ TEST(WindowProblemTest, RejectsMalformedInput) {
   const WindowProblem p = two_class_problem();
   EXPECT_THROW((void)p.evaluate({1}), std::invalid_argument);
   EXPECT_THROW((void)p.evaluate({-1, 1}), std::invalid_argument);
+  EXPECT_THROW((void)p.evaluate({1, 1}, "no-such-solver"),
+               std::invalid_argument);
   EXPECT_THROW(WindowProblem(net::canada_topology(), {}),
                std::invalid_argument);
   EXPECT_THROW(
@@ -209,6 +211,10 @@ TEST(DimensionTest, RejectsBadOptions) {
   DimensionOptions mismatch;
   mismatch.initial_windows = {1, 2, 3};
   EXPECT_THROW((void)dimension_windows(two_class_problem(), mismatch),
+               std::invalid_argument);
+  DimensionOptions unknown;
+  unknown.solver = "no-such-solver";
+  EXPECT_THROW((void)dimension_windows(two_class_problem(), unknown),
                std::invalid_argument);
 }
 
