@@ -107,13 +107,18 @@ MvaSolution solve_approx_mva(const qn::NetworkModel& model,
   // sigma_refresh_threshold of `lambda_sigma`, the state the current
   // sigma was estimated at.  The cold path (and warm starts without a
   // sigma seed) re-estimates sigma every sweep, exactly as the thesis
-  // iteration does.
+  // iteration does.  Like N in STEP 1, sigma is seeded on the chains'
+  // routes only; off a route it stays 0 whatever the seed holds there.
   const bool lazy_sigma =
       warm_start != nullptr && !warm_start->sigma.empty();
   std::vector<double> lambda_sigma;
   if (lazy_sigma) {
-    sigma = warm_start->sigma;
-    for (double& s : sigma) s = std::clamp(s, 0.0, 1.0);
+    for (int r = 0; r < num_chains; ++r) {
+      for (const int n : model.stations_of(r)) {
+        const std::size_t idx = static_cast<std::size_t>(n) * num_chains + r;
+        sigma[idx] = std::clamp(warm_start->sigma[idx], 0.0, 1.0);
+      }
+    }
     lambda_sigma = lambda;
   }
   const auto sigma_drift = [&]() {
@@ -127,15 +132,17 @@ MvaSolution solve_approx_mva(const qn::NetworkModel& model,
   };
 
   // Hoisted per-station sweep reductions, shared with the native kernel
-  // (solver/heuristic_mva.cc — the two files change in lockstep):
+  // (solver/heuristic_mva.cc; the two files change in lockstep: the
+  // same arithmetic per value and the same term order per sum):
   // busy[n] = sum_j lambda_j * D_jn feeds STEP 2's rho_other as
   // busy[n] - lambda_r * D_rn, and total[n] = sum_j N_jn replaces
   // STEP 3's per-(r,n) "others" sum (which never depended on r).  Both
   // drop a sweep from O(N R^2) to O(N R).  This solver keeps the dense
   // loops over every (chain, station) cell as the oracle; the kernel
-  // visits only the cells on the chains' routes, where every skipped
-  // term here is an exact +0.0 (zero demand, so zero time and queue),
-  // and keeps the same ascending order for the terms it adds.
+  // keeps its state packed over the cells on the chains' routes, where
+  // every skipped term here is an exact +0.0 (zero demand, so zero time
+  // and queue), and keeps the same ascending order for the terms it
+  // adds.
   std::vector<double> busy(static_cast<std::size_t>(num_stations), 0.0);
   std::vector<double> total(static_cast<std::size_t>(num_stations), 0.0);
 

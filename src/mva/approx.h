@@ -100,7 +100,8 @@ struct MvaWarmStart {
 /// `warm_start`, when non-null, seeds the fixed point from a previous
 /// solution instead of the cold InitPolicy; its vectors must match the
 /// model's chain/station counts (std::invalid_argument otherwise).
-/// Entries for zero-population chains are ignored.  The converged
+/// Entries for zero-population chains are ignored, and so are the
+/// number and sigma entries off a chain's route.  The converged
 /// solution is the same fixed point as the cold start's, to the
 /// configured tolerance.
 [[nodiscard]] MvaSolution solve_approx_mva(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -87,6 +88,30 @@ CompiledModel CompiledModel::compile(const NetworkModel& model,
     }
     c.station_chain_offset_[static_cast<std::size_t>(n) + 1] =
         c.station_chain_ids_.size();
+  }
+  // Visited cells in station->chain CSR order, and each chain's cells in
+  // ascending station order (the chain->station CSR layout).
+  const std::size_t visited = c.station_chain_ids_.size();
+  if (visited > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    throw OverflowError(
+        "CompiledModel::compile: visited cell count overflows int");
+  }
+  c.cell_station_.resize(visited);
+  c.cell_index_.resize(visited);
+  c.cell_demand_.resize(visited);
+  c.chain_cell_ids_.resize(visited);
+  std::vector<std::size_t> next_slot(c.chain_station_offset_.begin(),
+                                     c.chain_station_offset_.end() - 1);
+  for (int n = 0; n < N; ++n) {
+    for (std::size_t k = c.station_cell_begin(n);
+         k < c.station_cell_begin(n + 1); ++k) {
+      const int r = c.station_chain_ids_[k];
+      c.cell_station_[k] = n;
+      c.cell_index_[k] = static_cast<std::size_t>(n) * R + r;
+      c.cell_demand_[k] = c.demand(r, n);
+      c.chain_cell_ids_[next_slot[static_cast<std::size_t>(r)]++] =
+          static_cast<int>(k);
+    }
   }
 
   c.cycle_time_.assign(static_cast<std::size_t>(R), 0.0);

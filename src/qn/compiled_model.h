@@ -12,7 +12,8 @@
 //   - station type tags (fixed-rate / delay / queue-dependent) and
 //     flattened rate-multiplier tables;
 //   - chain <-> station index maps in CSR form (stations_of(r),
-//     chains_visiting(n));
+//     chains_visiting(n)), and the visited (station, chain) cells
+//     numbered in that CSR order, with a per-chain cell list;
 //   - cached per-chain uncongested cycle time, bottleneck station and
 //     maximum demand (the convolution algorithm's rescaling factor);
 //   - optional semiclosed metadata (per-chain Poisson arrival rates and
@@ -147,6 +148,42 @@ class CompiledModel {
             station_chain_offset_[n + 1] - station_chain_offset_[n]};
   }
 
+  // --- visited cells ----------------------------------------------------
+  // The (station, chain) cells on the chains' routes, numbered
+  // k = 0 .. visited_cell_count() - 1 in the station->chain CSR order of
+  // chains_visiting(): station n owns cells [station_cell_begin(n),
+  // station_cell_begin(n + 1)), chains ascending.  Every other cell has
+  // zero demand.  The heuristic-MVA kernel keeps its state packed over
+  // these cells, and the warm-start store packs converged states in
+  // the same order.
+  [[nodiscard]] std::size_t visited_cell_count() const noexcept {
+    return station_chain_ids_.size();
+  }
+  [[nodiscard]] std::size_t station_cell_begin(int n) const {
+    return station_chain_offset_[static_cast<std::size_t>(n)];
+  }
+  /// Station of cell k.
+  [[nodiscard]] std::span<const int> cell_station() const noexcept {
+    return cell_station_;
+  }
+  /// Chain of cell k (the flattened chains_visiting map).
+  [[nodiscard]] std::span<const int> cell_chain() const noexcept {
+    return station_chain_ids_;
+  }
+  /// Dense index n * R + r of cell k, for the [n * R + r] matrices.
+  [[nodiscard]] std::span<const std::size_t> cell_index() const noexcept {
+    return cell_index_;
+  }
+  /// Demand of cell k (the same value as demand(r, n)).
+  [[nodiscard]] std::span<const double> cell_demand() const noexcept {
+    return cell_demand_;
+  }
+  /// Chain r's cells in stations_of(r) order.
+  [[nodiscard]] std::span<const int> chain_cells(int r) const {
+    return {chain_cell_ids_.data() + chain_station_offset_[r],
+            chain_station_offset_[r + 1] - chain_station_offset_[r]};
+  }
+
   // --- cached per-chain aggregates --------------------------------------
   /// Sum of chain r's demands (the uncongested cycle time, thesis 4.2).
   [[nodiscard]] double uncongested_cycle_time(int r) const {
@@ -202,6 +239,11 @@ class CompiledModel {
   std::vector<int> chain_station_ids_;
   std::vector<std::size_t> station_chain_offset_;  // N + 1
   std::vector<int> station_chain_ids_;
+
+  std::vector<int> cell_station_;        // per visited cell k
+  std::vector<std::size_t> cell_index_;  // per visited cell k
+  std::vector<double> cell_demand_;      // per visited cell k
+  std::vector<int> chain_cell_ids_;      // chain -> cells, CSR
 
   std::vector<double> cycle_time_;
   std::vector<int> bottleneck_;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -23,8 +24,8 @@ namespace {
 /// solve can make nonzero.  Off a chain's route its demand is 0, so its
 /// queue N and sigma stay exactly 0 through every solve (DESIGN.md §5,
 /// §10).  A packed state is lambda (one per chain) followed by N and,
-/// when the state has one, sigma at the visited cells of the
-/// station->chain CSR map, in CSR order; an empty sigma stays empty.
+/// when the state has one, sigma at the model's visited cells, in their
+/// CompiledModel order (station->chain CSR); an empty sigma stays empty.
 /// unpack() writes only the visited cells of a dense seed whose other
 /// cells stay 0, so the solver reads exactly the state pack() was
 /// given.
@@ -32,47 +33,46 @@ class StatePacker {
  public:
   explicit StatePacker(const qn::CompiledModel& model)
       : num_chains_(static_cast<std::size_t>(model.num_chains())),
-        num_cells_(model.cell_count()) {
-    for (int n = 0; n < model.num_stations(); ++n) {
-      for (const int r : model.chains_visiting(n)) {
-        visited_.push_back(static_cast<std::size_t>(n) * num_chains_ +
-                           static_cast<std::size_t>(r));
-      }
-    }
-  }
+        num_cells_(model.cell_count()),
+        cell_index_(model.cell_index()) {}
 
   void pack(const mva::MvaWarmStart& dense, std::vector<double>& out) const {
     out.clear();
     if (dense.lambda.empty()) return;
     out.reserve(num_chains_ +
-                (dense.sigma.empty() ? 1 : 2) * visited_.size());
+                (dense.sigma.empty() ? 1 : 2) * cell_index_.size());
     out.insert(out.end(), dense.lambda.begin(), dense.lambda.end());
-    for (const std::size_t i : visited_) out.push_back(dense.number[i]);
+    for (const std::size_t i : cell_index_) out.push_back(dense.number[i]);
     if (dense.sigma.empty()) return;
-    for (const std::size_t i : visited_) out.push_back(dense.sigma[i]);
+    for (const std::size_t i : cell_index_) out.push_back(dense.sigma[i]);
   }
 
   void unpack(const std::vector<double>& packed,
               mva::MvaWarmStart& dense) const {
-    const std::size_t v = visited_.size();
+    const std::size_t v = cell_index_.size();
     const double* values = packed.data();
     dense.lambda.assign(values, values + num_chains_);
     values += num_chains_;
     dense.number.resize(num_cells_, 0.0);
-    for (std::size_t k = 0; k < v; ++k) dense.number[visited_[k]] = values[k];
+    for (std::size_t k = 0; k < v; ++k) {
+      dense.number[cell_index_[k]] = values[k];
+    }
     if (packed.size() == num_chains_ + v) {
       dense.sigma.clear();
       return;
     }
     values += v;
     dense.sigma.resize(num_cells_, 0.0);
-    for (std::size_t k = 0; k < v; ++k) dense.sigma[visited_[k]] = values[k];
+    for (std::size_t k = 0; k < v; ++k) {
+      dense.sigma[cell_index_[k]] = values[k];
+    }
   }
 
  private:
   std::size_t num_chains_;
   std::size_t num_cells_;
-  std::vector<std::size_t> visited_;  // dense [n * R + r] index, CSR order
+  // Dense [n * R + r] index of each visited cell (the model's map).
+  std::span<const std::size_t> cell_index_;
 };
 
 /// Every full Evaluation of the run, shared between the objective, the

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "net/examples.h"
 #include "net/generators.h"
 #include "obs/probe.h"
+#include "qn/compiled_model.h"
 #include "qn/cyclic.h"
 #include "search/pattern_search.h"
 #include "solver/registry.h"
@@ -126,6 +128,52 @@ TEST(WarmStartMvaTest, MismatchedWarmStateThrows) {
   bad.number.assign(4, 0.0);
   EXPECT_THROW((void)mva::solve_approx_mva(model, {}, &bad),
                std::invalid_argument);
+}
+
+TEST(WarmStartMvaTest, OffRouteSeedEntriesAreIgnored) {
+  // A seed's number and sigma entries off the chains' routes carry no
+  // state.  The legacy solver and the packed-cell kernel both ignore
+  // them and return exactly the solve of the clean seed, with +0.0 off
+  // the routes.
+  const qn::NetworkModel base = four_class_model({4, 4, 3, 1});
+  const mva::MvaSolution cold = mva::solve_approx_mva(base, {});
+  const mva::MvaWarmStart clean{cold.chain_throughput, cold.mean_queue,
+                                cold.sigma};
+  mva::MvaWarmStart dirty = clean;
+  const int num_chains = base.num_chains();
+  int off_route = 0;
+  for (int n = 0; n < base.num_stations(); ++n) {
+    for (int r = 0; r < num_chains; ++r) {
+      if (base.visits(r, n)) continue;
+      const std::size_t idx = static_cast<std::size_t>(n) * num_chains + r;
+      dirty.number[idx] = 5.0;
+      dirty.sigma[idx] = 0.7;
+      ++off_route;
+    }
+  }
+  ASSERT_GT(off_route, 0);
+
+  const qn::NetworkModel model = four_class_model({5, 4, 3, 1});
+  const mva::MvaSolution from_clean = mva::solve_approx_mva(model, {}, &clean);
+  const mva::MvaSolution from_dirty = mva::solve_approx_mva(model, {}, &dirty);
+  EXPECT_EQ(from_dirty.chain_throughput, from_clean.chain_throughput);
+  EXPECT_EQ(from_dirty.mean_queue, from_clean.mean_queue);
+  EXPECT_EQ(from_dirty.sigma, from_clean.sigma);
+
+  const qn::CompiledModel compiled = qn::CompiledModel::compile(model);
+  const std::vector<int> population(compiled.base_populations().begin(),
+                                    compiled.base_populations().end());
+  solver::Workspace ws;
+  ws.hints.warm_start = &dirty;
+  const solver::Solution kernel =
+      solver::SolverRegistry::instance().require("heuristic-mva").solve(
+          compiled, population, ws);
+  const auto vec = [](std::span<const double> s) {
+    return std::vector<double>(s.begin(), s.end());
+  };
+  EXPECT_EQ(vec(kernel.chain_throughput), from_clean.chain_throughput);
+  EXPECT_EQ(vec(kernel.mean_queue), from_clean.mean_queue);
+  EXPECT_EQ(vec(kernel.sigma), from_clean.sigma);
 }
 
 TEST(WarmStartMvaTest, ZeroCycleTimeChainIsRejected) {
