@@ -15,6 +15,7 @@
 //
 // Solver names come from the solver registry (windim_cli solvers lists
 // them); --evaluator is accepted as a compatibility alias of --solver.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -23,7 +24,10 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "cli/spec.h"
@@ -107,6 +111,32 @@ const solver::Solver* resolve_solver(const std::string& name) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return nullptr;
   }
+}
+
+/// Bad usage found while parsing the command line: main() prints it and
+/// exits 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// The whole of `text` as a T, or a UsageError naming `what` (the flag
+/// or argument) when any of it does not parse or the value does not fit.
+template <typename T>
+T parse_number(const std::string& text, const std::string& what) {
+  T value{};
+  const char* const last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  if (error == std::errc::result_out_of_range) {
+    throw UsageError(what + " value '" + text + "' is out of range");
+  }
+  if (error != std::errc() || end != last) {
+    const char* expected = std::is_floating_point_v<T> ? "a number"
+                           : std::is_unsigned_v<T> ? "a non-negative integer"
+                                                   : "an integer";
+    throw UsageError(what + " expects " + expected + ", got '" + text + "'");
+  }
+  return value;
 }
 
 /// "--key=value" matcher; returns the value part.
@@ -204,17 +234,19 @@ int cmd_dimension(const cli::NetworkSpec& spec,
       if (resolve_solver(*v) == nullptr) return 2;
       options.solver = *v;
     } else if (auto v = flag_value(arg, "max-window")) {
-      options.max_window = std::stoi(*v);
+      options.max_window = parse_number<int>(*v, "--max-window");
     } else if (auto v = flag_value(arg, "objective")) {
       if (*v == "power") {
         options.objective = core::DimensionObjective::kPower;
       } else if (v->rfind("gpower=", 0) == 0) {
         options.objective = core::DimensionObjective::kGeneralizedPower;
-        options.power_exponent = std::stod(v->substr(7));
+        options.power_exponent =
+            parse_number<double>(v->substr(7), "--objective=gpower");
       } else if (v->rfind("delaycap=", 0) == 0) {
         options.objective =
             core::DimensionObjective::kThroughputUnderDelayCap;
-        options.max_delay = std::stod(v->substr(9));
+        options.max_delay =
+            parse_number<double>(v->substr(9), "--objective=delaycap");
         if (!(options.max_delay > 0.0)) {
           std::fprintf(stderr,
                        "error: --objective=delaycap requires a positive "
@@ -238,7 +270,7 @@ int cmd_dimension(const cli::NetworkSpec& spec,
       if (*v == "inf") {
         options.alpha = std::numeric_limits<double>::infinity();
       } else {
-        options.alpha = std::stod(*v);
+        options.alpha = parse_number<double>(*v, "--alpha");
       }
       if (!(options.alpha == 0.0 || options.alpha == 1.0 ||
             options.alpha == 2.0 || std::isinf(options.alpha))) {
@@ -246,14 +278,14 @@ int cmd_dimension(const cli::NetworkSpec& spec,
         return 2;
       }
     } else if (auto v = flag_value(arg, "min-fairness")) {
-      options.min_fairness = std::stod(*v);
+      options.min_fairness = parse_number<double>(*v, "--min-fairness");
       if (std::isnan(options.min_fairness) || options.min_fairness < 0.0 ||
           options.min_fairness > 1.0) {
         std::fprintf(stderr, "error: --min-fairness must be in [0, 1]\n");
         return 2;
       }
     } else if (auto v = flag_value(arg, "max-delay")) {
-      options.max_delay = std::stod(*v);
+      options.max_delay = parse_number<double>(*v, "--max-delay");
       if (!(options.max_delay > 0.0)) {
         std::fprintf(stderr,
                      "error: --max-delay must be a positive delay cap in "
@@ -264,22 +296,21 @@ int cmd_dimension(const cli::NetworkSpec& spec,
     } else if (auto v = flag_value(arg, "pareto-out")) {
       pareto_out = *v;
     } else if (auto v = flag_value(arg, "pareto-points")) {
-      pareto_points = std::stoi(*v);
+      pareto_points = parse_number<int>(*v, "--pareto-points");
       if (pareto_points < 2) {
         std::fprintf(stderr, "error: --pareto-points must be >= 2\n");
         return 2;
       }
     } else if (auto v = flag_value(arg, "threads")) {
-      warn_threads_ignored(std::stoi(*v));
+      warn_threads_ignored(parse_number<int>(*v, "--threads"));
     } else if (auto v = flag_value(arg, "solver-threads")) {
-      solver_threads = std::stoi(*v);
+      solver_threads = parse_number<int>(*v, "--solver-threads");
       if (solver_threads <= 0) {
         std::fprintf(stderr, "error: --solver-threads must be >= 1\n");
         return 2;
       }
     } else if (auto v = flag_value(arg, "max-evals")) {
-      options.max_evaluations =
-          static_cast<std::size_t>(std::stoull(*v));
+      options.max_evaluations = parse_number<std::size_t>(*v, "--max-evals");
     } else if (arg == "--cold-start") {
       options.warm_start = false;
     } else if (arg == "--csv") {
@@ -439,12 +470,8 @@ std::optional<std::vector<int>> parse_windows(
       remaining.push_back(arg);
       continue;
     }
-    try {
-      windows.push_back(std::stoi(arg));
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "error: bad window '%s'\n", arg.c_str());
-      return std::nullopt;
-    }
+    windows.push_back(parse_number<int>(
+        arg, "window " + std::to_string(windows.size() + 1)));
   }
   if (windows.size() != count) {
     std::fprintf(stderr, "error: expected %zu windows, got %zu\n", count,
@@ -467,7 +494,7 @@ int cmd_evaluate(const cli::NetworkSpec& spec,
     } else if (auto v = flag_value(arg, "evaluator")) {
       solver_name = *v;
     } else if (auto v = flag_value(arg, "solver-threads")) {
-      solver_threads = std::stoi(*v);
+      solver_threads = parse_number<int>(*v, "--solver-threads");
       if (solver_threads <= 0) {
         std::fprintf(stderr, "error: --solver-threads must be >= 1\n");
         return 2;
@@ -502,20 +529,20 @@ int cmd_simulate(const cli::NetworkSpec& spec,
   int replications = 1;
   for (const std::string& arg : flags) {
     if (auto v = flag_value(arg, "time")) {
-      options.sim_time = std::stod(*v);
+      options.sim_time = parse_number<double>(*v, "--time");
       options.warmup = options.sim_time / 10.0;
     } else if (auto v = flag_value(arg, "seed")) {
-      options.seed = static_cast<std::uint64_t>(std::stoull(*v));
+      options.seed = parse_number<std::uint64_t>(*v, "--seed");
     } else if (auto v = flag_value(arg, "buffers")) {
       options.node_buffer_limit.assign(
           static_cast<std::size_t>(spec.topology.num_nodes()),
-          std::stoi(*v));
+          parse_number<int>(*v, "--buffers"));
     } else if (auto v = flag_value(arg, "permits")) {
-      options.isarithmic_permits = std::stoi(*v);
+      options.isarithmic_permits = parse_number<int>(*v, "--permits");
     } else if (arg == "--reverse-acks") {
       options.ack_mode = sim::AckMode::kReversePath;
     } else if (auto v = flag_value(arg, "reps")) {
-      replications = std::stoi(*v);
+      replications = parse_number<int>(*v, "--reps");
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -595,7 +622,7 @@ int cmd_scenario(const cli::NetworkSpec& spec,
         }
       }
     } else if (auto v = flag_value(arg, "time")) {
-      options.sim_time = std::stod(*v);
+      options.sim_time = parse_number<double>(*v, "--time");
       if (!(options.sim_time > 0.0)) {
         std::fprintf(stderr,
                      "error: --time must be a positive duration in seconds\n");
@@ -603,7 +630,7 @@ int cmd_scenario(const cli::NetworkSpec& spec,
       }
       options.warmup = options.sim_time / 10.0;
     } else if (auto v = flag_value(arg, "warmup")) {
-      options.warmup = std::stod(*v);
+      options.warmup = parse_number<double>(*v, "--warmup");
       if (options.warmup < 0.0) {
         std::fprintf(
             stderr,
@@ -611,16 +638,17 @@ int cmd_scenario(const cli::NetworkSpec& spec,
         return 2;
       }
     } else if (auto v = flag_value(arg, "seed")) {
-      options.seed = static_cast<std::uint64_t>(std::stoull(*v));
+      options.seed = parse_number<std::uint64_t>(*v, "--seed");
     } else if (auto v = flag_value(arg, "jobs")) {
-      options.jobs = std::stoi(*v);
+      options.jobs = parse_number<int>(*v, "--jobs");
     } else if (auto v = flag_value(arg, "max-window")) {
-      options.max_window = std::stoi(*v);
+      options.max_window = parse_number<int>(*v, "--max-window");
     } else if (auto v = flag_value(arg, "solver")) {
       if (resolve_solver(*v) == nullptr) return 2;
       options.solver = *v;
     } else if (auto v = flag_value(arg, "tracking-period")) {
-      options.tracking_period = std::stod(*v);
+      options.tracking_period =
+          parse_number<double>(*v, "--tracking-period");
       if (!(options.tracking_period > 0.0)) {
         std::fprintf(stderr,
                      "error: --tracking-period must be a positive duration "
@@ -639,8 +667,8 @@ int cmd_scenario(const cli::NetworkSpec& spec,
           return 2;
         }
         sim::RateBreakpoint bp;
-        bp.time = std::stod(token.substr(0, colon));
-        bp.factor = std::stod(token.substr(colon + 1));
+        bp.time = parse_number<double>(token.substr(0, colon), "--ramp");
+        bp.factor = parse_number<double>(token.substr(colon + 1), "--ramp");
         options.custom_ramp.points.push_back(bp);
       }
       // Rejects out-of-order breakpoints and negative factors up
@@ -721,7 +749,8 @@ int cmd_sweep(const cli::NetworkSpec& spec,
       while (pos < v->size()) {
         std::size_t comma = v->find(',', pos);
         if (comma == std::string::npos) comma = v->size();
-        factors.push_back(std::stod(v->substr(pos, comma - pos)));
+        factors.push_back(
+            parse_number<double>(v->substr(pos, comma - pos), "--loads"));
         pos = comma + 1;
       }
     } else if (auto v = flag_value(arg, "solver")) {
@@ -731,7 +760,7 @@ int cmd_sweep(const cli::NetworkSpec& spec,
       if (resolve_solver(*v) == nullptr) return 2;
       options.solver = *v;
     } else if (auto v = flag_value(arg, "threads")) {
-      warn_threads_ignored(std::stoi(*v));
+      warn_threads_ignored(parse_number<int>(*v, "--threads"));
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -761,7 +790,7 @@ int cmd_capacity(const cli::NetworkSpec& spec,
   bool sqrt_rule = true;
   for (const std::string& arg : args) {
     if (auto v = flag_value(arg, "budget")) {
-      budget = std::stod(*v);
+      budget = parse_number<double>(*v, "--budget");
     } else if (auto v = flag_value(arg, "rule")) {
       if (*v == "sqrt") {
         sqrt_rule = true;
@@ -807,7 +836,7 @@ int cmd_fuzz(const std::vector<std::string>& args) {
   bool quiet = false;
   for (const std::string& arg : args) {
     if (auto v = flag_value(arg, "seeds")) {
-      options.seeds = std::stoi(*v);
+      options.seeds = parse_number<int>(*v, "--seeds");
     } else if (auto v = flag_value(arg, "family")) {
       // Comma-separated family tokens; "all" = every family.
       std::size_t pos = 0;
@@ -846,11 +875,12 @@ int cmd_fuzz(const std::vector<std::string>& args) {
         options.oracle.solvers.push_back(token);
       }
     } else if (auto v = flag_value(arg, "time-budget")) {
-      options.time_budget_seconds = std::stod(*v);
+      options.time_budget_seconds =
+          parse_number<double>(*v, "--time-budget");
     } else if (auto v = flag_value(arg, "jobs")) {
-      options.jobs = std::stoi(*v);
+      options.jobs = parse_number<int>(*v, "--jobs");
     } else if (auto v = flag_value(arg, "base-seed")) {
-      options.base_seed = static_cast<std::uint64_t>(std::stoull(*v));
+      options.base_seed = parse_number<std::uint64_t>(*v, "--base-seed");
     } else if (auto v = flag_value(arg, "corpus-out")) {
       options.corpus_dir = *v;
     } else if (auto v = flag_value(arg, "replay")) {
@@ -933,23 +963,24 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if (arg == "--no-window") {
       options.enable_window = false;
     } else if (auto v = flag_value(arg, "threads")) {
-      options.threads = std::stoi(*v);
+      options.threads = parse_number<int>(*v, "--threads");
     } else if (auto v = flag_value(arg, "cache-size")) {
-      const int n = std::stoi(*v);
+      const int n = parse_number<int>(*v, "--cache-size");
       if (n <= 0) {
         std::fprintf(stderr, "error: --cache-size must be >= 1\n");
         return 2;
       }
       options.cache_capacity = static_cast<std::size_t>(n);
     } else if (auto v = flag_value(arg, "max-request-bytes")) {
-      const long long n = std::stoll(*v);
+      const auto n = parse_number<long long>(*v, "--max-request-bytes");
       if (n <= 0) {
         std::fprintf(stderr, "error: --max-request-bytes must be >= 1\n");
         return 2;
       }
       options.max_request_bytes = static_cast<std::size_t>(n);
     } else if (auto v = flag_value(arg, "default-deadline-ms")) {
-      options.default_deadline_ms = std::stod(*v);
+      options.default_deadline_ms =
+          parse_number<double>(*v, "--default-deadline-ms");
       if (options.default_deadline_ms < 0.0) {
         std::fprintf(stderr, "error: --default-deadline-ms must be >= 0\n");
         return 2;
@@ -1026,6 +1057,9 @@ int main(int argc, char** argv) {
     if (command == "sweep") return cmd_sweep(*spec, args);
     if (command == "scenario") return cmd_scenario(*spec, args);
     if (command == "capacity") return cmd_capacity(*spec, args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
