@@ -7,20 +7,23 @@
 //       (every chain re-sums the other chains' utilization and queue
 //       lengths at every station), kept here because the engine no
 //       longer has that path;
-//   (b) SoA kernel        — the registry's heuristic-mva over the
-//       station-major CompiledModel slab, with hoisted sweeps over the
-//       visited (chain, station) cells only and a warm Workspace arena.
+//   (b) SoA kernel        — the registry's heuristic-mva with its state
+//       packed over the visited (station, chain) cells, flat hoisted
+//       sweeps and a warm Workspace arena.
 //
 // Both run the SAME fixed number of sweeps (tolerance 0), so the
 // comparison is per-sweep work, not convergence luck.  The kernel's
 // absolute cost is also reported per unit of its work: ns per visited
-// cell per sweep (informational; no gate reads it).
+// cell per sweep, and the 10k fixture is timed once more with a
+// 4-thread SolveHints::pool running the sigma subproblem in chain
+// blocks (both informational; no gate reads them).
 //
 // Gates (exit 1 on violation):
 //   - the 10k-chain kernel is at least 3x faster than the scalar path;
 //   - both paths agree on the solved window statistics (max relative
 //     throughput difference < 1e-6 — the hoists reassociate the
-//     other-chain sums, so agreement is near-exact, not bitwise);
+//     other-chain sums, so agreement is near-exact, not bitwise), and
+//     so does the pooled kernel;
 //   - the timed kernel reps perform ZERO workspace arena allocations.
 //
 // --json=PATH writes the measurements; --check compares them against
@@ -45,6 +48,7 @@
 #include "solver/registry.h"
 #include "solver/solver.h"
 #include "solver/workspace.h"
+#include "util/thread_pool.h"
 #include "verify/gen.h"
 
 namespace {
@@ -225,13 +229,15 @@ struct SizeResult {
   std::size_t visited_cells = 0;  // (chain, station) pairs on a route
   double scalar_ms = 0.0;
   double kernel_ms = 0.0;
+  double pool_kernel_ms = 0.0;  // with a pool of pool_threads (0 = none)
   double ns_per_visited_cell = 0.0;  // kernel, per sweep
   double speedup = 0.0;
   double max_rel_diff = 0.0;
   std::uint64_t warm_allocations = 0;
 };
 
-SizeResult run_size(int chains, int sweeps, int reps) {
+SizeResult run_size(int chains, int sweeps, int reps,
+                    std::size_t pool_threads) {
   windim::obs::SpanTracer::Scope span(&windim::obs::SpanTracer::global(),
                                       "bench.large_model", "bench");
   span.arg("chains", chains);
@@ -277,6 +283,22 @@ SizeResult run_size(int chains, int sweeps, int reps) {
         reps, [&] { (void)kernel.solve(compiled, population, ws); });
     s.arg("median_ms", out.kernel_ms);
   }
+  std::vector<double> pool_lambda;
+  if (pool_threads > 0) {
+    windim::obs::SpanTracer::Scope s(&windim::obs::SpanTracer::global(),
+                                     "bench.pool_kernel_solve", "bench");
+    s.arg("chains", chains);
+    windim::util::ThreadPool pool(pool_threads);
+    ws.hints.pool = &pool;
+    out.pool_kernel_ms = median_ms(reps, [&] {
+      const windim::solver::Solution sol =
+          kernel.solve(compiled, population, ws);
+      pool_lambda.assign(sol.chain_throughput.begin(),
+                         sol.chain_throughput.end());
+    });
+    ws.hints.pool = nullptr;
+    s.arg("median_ms", out.pool_kernel_ms);
+  }
   out.warm_allocations =
       windim::solver::Workspace::total_heap_allocations() - allocs_before;
   out.ns_per_visited_cell =
@@ -301,6 +323,11 @@ SizeResult run_size(int chains, int sweeps, int reps) {
     const double denom = std::max(1e-300, std::abs(scalar_lambda[r]));
     out.max_rel_diff = std::max(
         out.max_rel_diff, std::abs(kernel_lambda[r] - scalar_lambda[r]) / denom);
+    if (!pool_lambda.empty()) {
+      out.max_rel_diff =
+          std::max(out.max_rel_diff,
+                   std::abs(pool_lambda[r] - scalar_lambda[r]) / denom);
+    }
   }
   return out;
 }
@@ -358,8 +385,9 @@ int main(int argc, char** argv) {
     windim::obs::SpanTracer::global().set_enabled(true);
   }
 
-  const SizeResult r1k = run_size(1000, sweeps, reps);
-  const SizeResult r10k = run_size(10000, sweeps, reps);
+  constexpr std::size_t kPoolThreads = 4;
+  const SizeResult r1k = run_size(1000, sweeps, reps, 0);
+  const SizeResult r10k = run_size(10000, sweeps, reps, kPoolThreads);
 
   std::printf("large-cyclic fixtures, %d fixed sweeps, heuristic-MVA\n\n",
               sweeps);
@@ -373,6 +401,9 @@ int main(int argc, char** argv) {
         "(%zu visited cells)\n",
         r.ns_per_visited_cell, r.visited_cells);
   }
+  std::printf("%6d chains: kernel with a %zu-thread sweep pool %8.3f ms "
+              "(serial %.3f ms)\n",
+              r10k.chains, kPoolThreads, r10k.pool_kernel_ms, r10k.kernel_ms);
 
   const bool identical_windows =
       r1k.max_rel_diff < 1e-6 && r10k.max_rel_diff < 1e-6;
@@ -413,6 +444,8 @@ int main(int argc, char** argv) {
     w.value(r10k.scalar_ms);
     w.key("large_kernel_10k_ms");
     w.value(r10k.kernel_ms);
+    w.key("large_kernel_10k_pool4_ms");
+    w.value(r10k.pool_kernel_ms);
     w.key("large_speedup_10k");
     w.value(r10k.speedup);
     w.key("large_ns_per_visited_cell_1k");
