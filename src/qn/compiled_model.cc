@@ -42,15 +42,12 @@ CompiledModel CompiledModel::compile(const NetworkModel& model,
   c.demand_cm_.assign(cells, 0.0);
   c.service_time_cm_.assign(cells, 0.0);
   c.visit_ratio_cm_.assign(cells, 0.0);
-  c.demand_sm_.assign(cells, 0.0);
   for (int r = 0; r < R; ++r) {
     for (int n = 0; n < N; ++n) {
       const std::size_t idx = static_cast<std::size_t>(r) * N + n;
-      const double d = model.demand(r, n);
-      c.demand_cm_[idx] = d;
+      c.demand_cm_[idx] = model.demand(r, n);
       c.service_time_cm_[idx] = model.service_time(r, n);
       c.visit_ratio_cm_[idx] = model.visit_ratio(r, n);
-      c.demand_sm_[static_cast<std::size_t>(n) * R + r] = d;
     }
   }
 
@@ -100,8 +97,8 @@ CompiledModel CompiledModel::compile(const NetworkModel& model,
   c.cell_index_.resize(visited);
   c.cell_demand_.resize(visited);
   c.chain_cell_ids_.resize(visited);
-  std::vector<std::size_t> next_slot(c.chain_station_offset_.begin(),
-                                     c.chain_station_offset_.end() - 1);
+  std::vector<std::size_t> chain_fill(c.chain_station_offset_.begin(),
+                                      c.chain_station_offset_.end() - 1);
   for (int n = 0; n < N; ++n) {
     for (std::size_t k = c.station_cell_begin(n);
          k < c.station_cell_begin(n + 1); ++k) {
@@ -109,7 +106,7 @@ CompiledModel CompiledModel::compile(const NetworkModel& model,
       c.cell_station_[k] = n;
       c.cell_index_[k] = static_cast<std::size_t>(n) * R + r;
       c.cell_demand_[k] = c.demand(r, n);
-      c.chain_cell_ids_[next_slot[static_cast<std::size_t>(r)]++] =
+      c.chain_cell_ids_[chain_fill[static_cast<std::size_t>(r)]++] =
           static_cast<int>(k);
     }
   }

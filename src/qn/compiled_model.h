@@ -7,13 +7,12 @@
 // built once per dimensioning run:
 //
 //   - per-(chain,station) demand / service-time / visit-ratio matrices
-//     in both chain-major and station-major order (no .at() bounds
-//     checks, no hash lookups in solver hot loops);
+//     (no .at() bounds checks, no hash lookups in solver hot loops);
 //   - station type tags (fixed-rate / delay / queue-dependent) and
 //     flattened rate-multiplier tables;
-//   - chain <-> station index maps in CSR form (stations_of(r),
-//     chains_visiting(n)), and the visited (station, chain) cells
-//     numbered in that CSR order, with a per-chain cell list;
+//   - the chain -> station map in CSR form (stations_of(r)), and the
+//     visited (station, chain) cells numbered station by station, with
+//     a per-chain cell list;
 //   - cached per-chain uncongested cycle time, bottleneck station and
 //     maximum demand (the convolution algorithm's rescaling factor);
 //   - optional semiclosed metadata (per-chain Poisson arrival rates and
@@ -86,11 +85,6 @@ class CompiledModel {
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
   // --- per-(chain,station) matrices -------------------------------------
-  /// Chain-major: demand(r)[n].
-  [[nodiscard]] std::span<const double> demands_of(int r) const {
-    return {demand_cm_.data() + static_cast<std::size_t>(r) * num_stations_,
-            static_cast<std::size_t>(num_stations_)};
-  }
   [[nodiscard]] double demand(int r, int n) const {
     return demand_cm_[static_cast<std::size_t>(r) * num_stations_ + n];
   }
@@ -99,20 +93,6 @@ class CompiledModel {
   }
   [[nodiscard]] double visit_ratio(int r, int n) const {
     return visit_ratio_cm_[static_cast<std::size_t>(r) * num_stations_ + n];
-  }
-
-  /// Station-major demand slab [n * R + r]: the structure-of-arrays
-  /// view the MVA sweep kernels iterate.  At a fixed station the
-  /// per-chain demands are contiguous, so per-station reductions over
-  /// chains (busy time, total queue length) are unit-stride.
-  [[nodiscard]] std::span<const double> station_major_demands()
-      const noexcept {
-    return demand_sm_;
-  }
-  /// Chain demands at station n (one row of the station-major slab).
-  [[nodiscard]] std::span<const double> station_demands(int n) const {
-    return {demand_sm_.data() + static_cast<std::size_t>(n) * num_chains_,
-            static_cast<std::size_t>(num_chains_)};
   }
 
   /// Chain r's total demand at delay (IS) stations.  delay_demand(r) /
@@ -136,26 +116,21 @@ class CompiledModel {
   /// Station::rate_multiplier without the virtual-free hot path caveat).
   [[nodiscard]] double rate_multiplier(int n, int j) const;
 
-  // --- chain <-> station maps (CSR) -------------------------------------
+  // --- chain -> station map (CSR) ---------------------------------------
   /// Station indices visited by chain r, ascending ("Q(r)").
   [[nodiscard]] std::span<const int> stations_of(int r) const {
     return {chain_station_ids_.data() + chain_station_offset_[r],
             chain_station_offset_[r + 1] - chain_station_offset_[r]};
   }
-  /// Chain indices visiting station n, ascending ("R(i)").
-  [[nodiscard]] std::span<const int> chains_visiting(int n) const {
-    return {station_chain_ids_.data() + station_chain_offset_[n],
-            station_chain_offset_[n + 1] - station_chain_offset_[n]};
-  }
 
   // --- visited cells ----------------------------------------------------
   // The (station, chain) cells on the chains' routes, numbered
-  // k = 0 .. visited_cell_count() - 1 in the station->chain CSR order of
-  // chains_visiting(): station n owns cells [station_cell_begin(n),
-  // station_cell_begin(n + 1)), chains ascending.  Every other cell has
-  // zero demand.  The heuristic-MVA kernel keeps its state packed over
-  // these cells, and the warm-start store packs converged states in
-  // the same order.
+  // k = 0 .. visited_cell_count() - 1 in station->chain CSR order:
+  // station n owns cells [station_cell_begin(n), station_cell_begin(n +
+  // 1)), one per visiting chain, chains ascending.  Every other cell
+  // has zero demand.  The heuristic-MVA kernel keeps its state packed
+  // over these cells, and the warm-start store packs converged states
+  // in the same order.
   [[nodiscard]] std::size_t visited_cell_count() const noexcept {
     return station_chain_ids_.size();
   }
@@ -166,7 +141,8 @@ class CompiledModel {
   [[nodiscard]] std::span<const int> cell_station() const noexcept {
     return cell_station_;
   }
-  /// Chain of cell k (the flattened chains_visiting map).
+  /// Chain of cell k; station n's slice lists the chains visiting it
+  /// ("R(i)").
   [[nodiscard]] std::span<const int> cell_chain() const noexcept {
     return station_chain_ids_;
   }
@@ -228,7 +204,6 @@ class CompiledModel {
   std::vector<double> demand_cm_;        // [r * N + n]
   std::vector<double> service_time_cm_;  // [r * N + n]
   std::vector<double> visit_ratio_cm_;   // [r * N + n]
-  std::vector<double> demand_sm_;        // [n * R + r] (SoA sweep view)
   std::vector<double> delay_demand_;     // per chain
 
   std::vector<StationKind> station_kind_;

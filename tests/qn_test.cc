@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "qn/compiled_model.h"
 #include "qn/cyclic.h"
 #include "qn/network.h"
 #include "qn/traffic.h"
@@ -74,6 +79,44 @@ TEST(NetworkModelTest, VisitsAndStationSets) {
   EXPECT_EQ(m.stations_of(0), (std::vector<int>{0, 1}));
   EXPECT_EQ(m.chains_visiting(0), (std::vector<int>{0}));
   EXPECT_TRUE(m.chains_visiting(c).empty());
+}
+
+TEST(CompiledModelTest, VisitedCellMapsFollowTheCsrOrder) {
+  // Chain 0 visits stations 0 and 2, chain 1 visits 1 and 2: cells are
+  // numbered station by station, each station's chains ascending, and
+  // each chain lists its cells in ascending station order.
+  NetworkModel m;
+  const int a = m.add_station(fcfs("a"));
+  const int b = m.add_station(fcfs("b"));
+  const int shared = m.add_station(fcfs("shared"));
+  for (const auto& [first, time] : {std::pair{a, 0.1}, std::pair{b, 0.3}}) {
+    Chain c;
+    c.name = "c" + std::to_string(first);
+    c.type = ChainType::kClosed;
+    c.population = 2;
+    c.visits = {{first, 1.0, time}, {shared, 2.0, 0.05}};
+    m.add_chain(std::move(c));
+  }
+  const CompiledModel compiled = CompiledModel::compile(m);
+  ASSERT_EQ(compiled.visited_cell_count(), 4u);
+  const auto vec = [](auto span) {
+    return std::vector<typename decltype(span)::value_type>(span.begin(),
+                                                            span.end());
+  };
+  EXPECT_EQ(vec(compiled.cell_station()), (std::vector<int>{0, 1, 2, 2}));
+  EXPECT_EQ(vec(compiled.cell_chain()), (std::vector<int>{0, 1, 0, 1}));
+  EXPECT_EQ(vec(compiled.cell_index()),
+            (std::vector<std::size_t>{0, 3, 4, 5}));
+  EXPECT_EQ(vec(compiled.cell_demand()),
+            (std::vector<double>{m.demand(0, 0), m.demand(1, 1),
+                                 m.demand(0, 2), m.demand(1, 2)}));
+  EXPECT_EQ(vec(compiled.chain_cells(0)), (std::vector<int>{0, 2}));
+  EXPECT_EQ(vec(compiled.chain_cells(1)), (std::vector<int>{1, 3}));
+  for (const auto& [n, begin] :
+       {std::pair{0, 0u}, std::pair{1, 1u}, std::pair{2, 2u},
+        std::pair{3, 4u}}) {
+    EXPECT_EQ(compiled.station_cell_begin(n), begin) << "station " << n;
+  }
 }
 
 TEST(NetworkModelTest, ValidatesCleanModel) {
