@@ -139,6 +139,23 @@ T parse_number(const std::string& text, const std::string& what) {
   return value;
 }
 
+/// parse_number for a count that must be at least 1.
+int parse_count(const std::string& text, const std::string& what) {
+  const int value = parse_number<int>(text, what);
+  if (value < 1) throw UsageError(what + " must be >= 1");
+  return value;
+}
+
+/// parse_number for a simulated duration: positive and finite, so the
+/// run ends.
+double parse_duration(const std::string& text, const std::string& what) {
+  const double value = parse_number<double>(text, what);
+  if (!(value > 0.0 && std::isfinite(value))) {
+    throw UsageError(what + " must be a positive duration in seconds");
+  }
+  return value;
+}
+
 /// "--key=value" matcher; returns the value part.
 std::optional<std::string> flag_value(const std::string& arg,
                                       const char* key) {
@@ -234,7 +251,7 @@ int cmd_dimension(const cli::NetworkSpec& spec,
       if (resolve_solver(*v) == nullptr) return 2;
       options.solver = *v;
     } else if (auto v = flag_value(arg, "max-window")) {
-      options.max_window = parse_number<int>(*v, "--max-window");
+      options.max_window = parse_count(*v, "--max-window");
     } else if (auto v = flag_value(arg, "objective")) {
       if (*v == "power") {
         options.objective = core::DimensionObjective::kPower;
@@ -304,11 +321,7 @@ int cmd_dimension(const cli::NetworkSpec& spec,
     } else if (auto v = flag_value(arg, "threads")) {
       warn_threads_ignored(parse_number<int>(*v, "--threads"));
     } else if (auto v = flag_value(arg, "solver-threads")) {
-      solver_threads = parse_number<int>(*v, "--solver-threads");
-      if (solver_threads <= 0) {
-        std::fprintf(stderr, "error: --solver-threads must be >= 1\n");
-        return 2;
-      }
+      solver_threads = parse_count(*v, "--solver-threads");
     } else if (auto v = flag_value(arg, "max-evals")) {
       options.max_evaluations = parse_number<std::size_t>(*v, "--max-evals");
     } else if (arg == "--cold-start") {
@@ -494,11 +507,7 @@ int cmd_evaluate(const cli::NetworkSpec& spec,
     } else if (auto v = flag_value(arg, "evaluator")) {
       solver_name = *v;
     } else if (auto v = flag_value(arg, "solver-threads")) {
-      solver_threads = parse_number<int>(*v, "--solver-threads");
-      if (solver_threads <= 0) {
-        std::fprintf(stderr, "error: --solver-threads must be >= 1\n");
-        return 2;
-      }
+      solver_threads = parse_count(*v, "--solver-threads");
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -529,7 +538,7 @@ int cmd_simulate(const cli::NetworkSpec& spec,
   int replications = 1;
   for (const std::string& arg : flags) {
     if (auto v = flag_value(arg, "time")) {
-      options.sim_time = parse_number<double>(*v, "--time");
+      options.sim_time = parse_duration(*v, "--time");
       options.warmup = options.sim_time / 10.0;
     } else if (auto v = flag_value(arg, "seed")) {
       options.seed = parse_number<std::uint64_t>(*v, "--seed");
@@ -542,7 +551,7 @@ int cmd_simulate(const cli::NetworkSpec& spec,
     } else if (arg == "--reverse-acks") {
       options.ack_mode = sim::AckMode::kReversePath;
     } else if (auto v = flag_value(arg, "reps")) {
-      replications = parse_number<int>(*v, "--reps");
+      replications = parse_count(*v, "--reps");
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -622,12 +631,7 @@ int cmd_scenario(const cli::NetworkSpec& spec,
         }
       }
     } else if (auto v = flag_value(arg, "time")) {
-      options.sim_time = parse_number<double>(*v, "--time");
-      if (!(options.sim_time > 0.0)) {
-        std::fprintf(stderr,
-                     "error: --time must be a positive duration in seconds\n");
-        return 2;
-      }
+      options.sim_time = parse_duration(*v, "--time");
       options.warmup = options.sim_time / 10.0;
     } else if (auto v = flag_value(arg, "warmup")) {
       options.warmup = parse_number<double>(*v, "--warmup");
@@ -642,7 +646,7 @@ int cmd_scenario(const cli::NetworkSpec& spec,
     } else if (auto v = flag_value(arg, "jobs")) {
       options.jobs = parse_number<int>(*v, "--jobs");
     } else if (auto v = flag_value(arg, "max-window")) {
-      options.max_window = parse_number<int>(*v, "--max-window");
+      options.max_window = parse_count(*v, "--max-window");
     } else if (auto v = flag_value(arg, "solver")) {
       if (resolve_solver(*v) == nullptr) return 2;
       options.solver = *v;
@@ -965,12 +969,8 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if (auto v = flag_value(arg, "threads")) {
       options.threads = parse_number<int>(*v, "--threads");
     } else if (auto v = flag_value(arg, "cache-size")) {
-      const int n = parse_number<int>(*v, "--cache-size");
-      if (n <= 0) {
-        std::fprintf(stderr, "error: --cache-size must be >= 1\n");
-        return 2;
-      }
-      options.cache_capacity = static_cast<std::size_t>(n);
+      options.cache_capacity =
+          static_cast<std::size_t>(parse_count(*v, "--cache-size"));
     } else if (auto v = flag_value(arg, "max-request-bytes")) {
       const auto n = parse_number<long long>(*v, "--max-request-bytes");
       if (n <= 0) {

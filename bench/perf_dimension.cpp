@@ -66,14 +66,14 @@ using windim::core::WindowProblem;
 
 Evaluation legacy_evaluate(const WindowProblem& problem,
                            const std::vector<int>& windows,
-                           const windim::mva::MvaWarmStart* seed,
-                           windim::mva::MvaWarmStart* state) {
+                           const windim::mva::MvaSolution* seed,
+                           windim::mva::MvaSolution* state) {
   const windim::qn::NetworkModel model = problem.network(windows).to_model();
   const windim::mva::MvaSolution sol =
       windim::mva::solve_approx_mva(model, {}, seed);
   if (state != nullptr) {
-    state->lambda = sol.chain_throughput;
-    state->number = sol.mean_queue;
+    state->chain_throughput = sol.chain_throughput;
+    state->mean_queue = sol.mean_queue;
     state->sigma = sol.sigma;
   }
 
@@ -108,17 +108,17 @@ Evaluation legacy_evaluate(const WindowProblem& problem,
 // window vector, anchors registered in trajectory order.
 class LegacyStore {
  public:
-  void insert(const std::vector<int>& windows, windim::mva::MvaWarmStart s) {
+  void insert(const std::vector<int>& windows, windim::mva::MvaSolution s) {
     states_.emplace(windows, std::move(s));
   }
 
   void add_anchor(const std::vector<int>& windows) {
     const auto it = states_.find(windows);
-    if (it == states_.end() || it->second.lambda.empty()) return;
+    if (it == states_.end() || it->second.chain_throughput.empty()) return;
     anchors_.push_back(&*it);  // node pointers survive rehashing
   }
 
-  [[nodiscard]] std::optional<windim::mva::MvaWarmStart> nearest_anchor(
+  [[nodiscard]] std::optional<windim::mva::MvaSolution> nearest_anchor(
       const std::vector<int>& windows) const {
     const Node* best = nullptr;
     long best_distance = 0;
@@ -138,8 +138,8 @@ class LegacyStore {
   }
 
  private:
-  using Node = std::pair<const std::vector<int>, windim::mva::MvaWarmStart>;
-  std::unordered_map<std::vector<int>, windim::mva::MvaWarmStart,
+  using Node = std::pair<const std::vector<int>, windim::mva::MvaSolution>;
+  std::unordered_map<std::vector<int>, windim::mva::MvaSolution,
                      windim::search::PointHash>
       states_;
   std::vector<const Node*> anchors_;
@@ -156,9 +156,9 @@ LegacyResult legacy_dimension(const WindowProblem& problem) {
 
   const windim::search::Objective objective =
       [&](const windim::search::Point& e) {
-        const std::optional<windim::mva::MvaWarmStart> seed =
+        const std::optional<windim::mva::MvaSolution> seed =
             store.nearest_anchor(e);
-        windim::mva::MvaWarmStart state;
+        windim::mva::MvaSolution state;
         const Evaluation ev =
             legacy_evaluate(problem, e, seed ? &*seed : nullptr, &state);
         store.insert(e, std::move(state));

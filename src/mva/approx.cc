@@ -27,7 +27,7 @@ void check_model(const qn::NetworkModel& model) {
 
 MvaSolution solve_approx_mva(const qn::NetworkModel& model,
                              const ApproxMvaOptions& options,
-                             const MvaWarmStart* warm_start) {
+                             const MvaSolution* warm_start) {
   check_model(model);
   if (!(options.damping > 0.0 && options.damping <= 1.0)) {
     throw std::invalid_argument("solve_approx_mva: damping must be in (0,1]");
@@ -45,8 +45,9 @@ MvaSolution solve_approx_mva(const qn::NetworkModel& model,
       static_cast<std::size_t>(num_stations) * num_chains, 0.0);
 
   if (warm_start != nullptr &&
-      (warm_start->lambda.size() != static_cast<std::size_t>(num_chains) ||
-       warm_start->number.size() != number.size() ||
+      (warm_start->chain_throughput.size() !=
+           static_cast<std::size_t>(num_chains) ||
+       warm_start->mean_queue.size() != number.size() ||
        (!warm_start->sigma.empty() &&
         warm_start->sigma.size() != sigma.size()))) {
     throw std::invalid_argument(
@@ -74,10 +75,10 @@ MvaSolution solve_approx_mva(const qn::NetworkModel& model,
     if (warm_start != nullptr) {
       for (int n : stations) {
         const std::size_t idx = static_cast<std::size_t>(n) * num_chains + r;
-        number[idx] = std::max(0.0, warm_start->number[idx]);
+        number[idx] = std::max(0.0, warm_start->mean_queue[idx]);
       }
-      lambda[static_cast<std::size_t>(r)] =
-          std::max(0.0, warm_start->lambda[static_cast<std::size_t>(r)]);
+      lambda[static_cast<std::size_t>(r)] = std::max(
+          0.0, warm_start->chain_throughput[static_cast<std::size_t>(r)]);
       // A degenerate (zero-throughput) seed for a populated chain would
       // stall STEP 2's utilization inflation; fall through to cold init.
       if (lambda[static_cast<std::size_t>(r)] > 0.0) continue;

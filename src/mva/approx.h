@@ -67,27 +67,29 @@ struct ApproxMvaOptions {
   obs::ConvergenceRecorder* convergence = nullptr;
 };
 
-/// Initial fixed-point state for warm-starting the heuristic iteration.
-/// Taken from the converged solution of a *nearby* model (same stations
-/// and chains, slightly different populations — e.g. the neighboring
-/// window vectors a pattern search generates), it replaces the cold
-/// STEP-1 initialization and typically cuts the iteration count several
-/// fold because the transient toward the fixed-point basin is skipped.
+/// Initial fixed-point state for warm-starting the heuristic-MVA kernel
+/// (solver/heuristic_mva.h), in the kernel's own packed layout over the
+/// visited cells of the qn::CompiledModel the solve runs on.  Taken
+/// from the converged solution of a *nearby* model (same stations and
+/// chains, slightly different populations — e.g. the neighboring window
+/// vectors a pattern search generates), it replaces the cold STEP-1
+/// initialization and typically cuts the iteration count several fold
+/// because the transient toward the fixed-point basin is skipped.
 struct MvaWarmStart {
-  /// Chain throughputs, one per chain (MvaSolution::chain_throughput).
+  /// Chain throughputs, one per chain.
   std::vector<double> lambda;
-  /// Mean queue lengths, station-major [n * R + r]
-  /// (MvaSolution::mean_queue).
+  /// Mean queue lengths, one per visited cell k, in the model's
+  /// cell_index() order.
   std::vector<double> number;
-  /// Converged sigma estimates, station-major [n * R + r]
-  /// (MvaSolution::sigma); may be empty.  When present, the iteration
-  /// starts from this sigma and re-runs the (expensive) sigma
-  /// estimation lazily: only once the throughput vector has drifted
-  /// more than ApproxMvaOptions::sigma_refresh_threshold from the
-  /// state the current sigma was computed at, and always before
-  /// convergence is declared — the stopping criterion is only accepted
-  /// on an iteration whose sigma is freshly consistent, exactly as in
-  /// the cold iteration, so the fixed point reached is the same to the
+  /// Converged sigma estimates, one per visited cell like `number`; may
+  /// be empty.  When present, the iteration starts from this sigma and
+  /// re-runs the (expensive) sigma estimation lazily: only once the
+  /// throughput vector has drifted more than
+  /// ApproxMvaOptions::sigma_refresh_threshold from the state the
+  /// current sigma was computed at, and always before convergence is
+  /// declared — the stopping criterion is only accepted on an iteration
+  /// whose sigma is freshly consistent, exactly as in the cold
+  /// iteration, so the fixed point reached is the same to the
   /// configured tolerance.
   std::vector<double> sigma;
 };
@@ -96,16 +98,18 @@ struct MvaWarmStart {
 /// stations.  Chains with zero population contribute zero throughput.
 /// Throws qn::ModelError on invalid input (including a chain whose
 /// uncongested cycle time is zero, which has no finite fixed point).
+/// This dense solver is the reference the packed kernel is pinned to.
 ///
 /// `warm_start`, when non-null, seeds the fixed point from a previous
-/// solution instead of the cold InitPolicy; its vectors must match the
-/// model's chain/station counts (std::invalid_argument otherwise).
-/// Entries for zero-population chains are ignored, and so are the
-/// number and sigma entries off a chain's route.  The converged
-/// solution is the same fixed point as the cold start's, to the
-/// configured tolerance.
+/// solution (its throughputs, queue lengths and, when non-empty, sigma,
+/// lazily refreshed as for MvaWarmStart::sigma) instead of the cold
+/// InitPolicy; its vectors must match the model's chain/station counts
+/// (std::invalid_argument otherwise).  Entries for zero-population
+/// chains are ignored, and so are the queue and sigma entries off a
+/// chain's route.  The converged solution is the same fixed point as
+/// the cold start's, to the configured tolerance.
 [[nodiscard]] MvaSolution solve_approx_mva(
     const qn::NetworkModel& model, const ApproxMvaOptions& options = {},
-    const MvaWarmStart* warm_start = nullptr);
+    const MvaSolution* warm_start = nullptr);
 
 }  // namespace windim::mva

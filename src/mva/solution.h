@@ -17,7 +17,7 @@ struct MvaSolution {
   std::vector<double> mean_time;
   /// sigma[n * R + r]: the heuristic's converged "self-customer seen"
   /// estimates (thesis eq. 4.11/4.12); empty for the exact solvers.
-  /// Feeds MvaWarmStart::sigma when warm-starting a neighboring solve.
+  /// Seeds the sigma of a warm-started neighboring solve.
   std::vector<double> sigma;
   int num_chains = 0;
 

@@ -129,8 +129,8 @@ class CompiledModel {
   // station n owns cells [station_cell_begin(n), station_cell_begin(n +
   // 1)), one per visiting chain, chains ascending.  Every other cell
   // has zero demand.  The heuristic-MVA kernel keeps its state packed
-  // over these cells, and the warm-start store packs converged states
-  // in the same order.
+  // over these cells, and its warm-start format (mva::MvaWarmStart)
+  // holds N and sigma in the same order.
   [[nodiscard]] std::size_t visited_cell_count() const noexcept {
     return station_chain_ids_.size();
   }

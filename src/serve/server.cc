@@ -11,6 +11,7 @@
 #include <deque>
 #include <future>
 #include <istream>
+#include <list>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
@@ -1286,9 +1287,25 @@ int Server::serve_unix(const std::string& path,
 
   if (on_ready) on_ready();
 
-  std::vector<std::thread> connections;
+  // One thread per connection.  A thread flags `done` as its last act,
+  // and every pass of the accept loop joins the flagged ones, so a
+  // closed connection's stack is unmapped within one poll period rather
+  // than at shutdown.  List nodes keep each flag's address stable.
+  struct Connection {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Connection> connections;
   while (g_stop_signal == 0 &&
          !shutting_down_.load(std::memory_order_acquire)) {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (!it->done) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections.erase(it);
+    }
     pollfd pfd{listen_fd, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 200);
     const int poll_errno = errno;
@@ -1309,7 +1326,8 @@ int Server::serve_unix(const std::string& path,
     timeval tv{};
     tv.tv_usec = 50 * 1000;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    connections.emplace_back([this, fd]() {
+    Connection& connection = connections.emplace_back();
+    connection.thread = std::thread([this, fd, &done = connection.done]() {
       std::string buffer;
       std::size_t scan = 0;
       // True while dropping the rest of an over-cap line.
@@ -1367,6 +1385,7 @@ int Server::serve_unix(const std::string& path,
             if (!peer_gone) peer_gone = !send_all(fd, reply + "\n");
           });
       ::close(fd);
+      done = true;
     });
   }
 
@@ -1374,7 +1393,7 @@ int Server::serve_unix(const std::string& path,
   // in-flight replies, then tear down.
   shutting_down_.store(true, std::memory_order_release);
   ::close(listen_fd);
-  for (std::thread& t : connections) t.join();
+  for (Connection& c : connections) c.thread.join();
   ::unlink(path.c_str());
   ::sigaction(SIGTERM, &old_term, nullptr);
   ::sigaction(SIGINT, &old_int, nullptr);

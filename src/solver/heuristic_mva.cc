@@ -43,9 +43,10 @@ constexpr int kMinChainsPerBlock = 64;
 //              depended on r).
 // Both add a station's chains in ascending order, as the dense legacy
 // sums do.  STEP 4 adds a chain's times over chain_cells(r), stations
-// ascending, and STEP 5 is one flat pass over k.  The warm start is
-// gathered from the dense MvaWarmStart once, and the dense [n * R + r]
-// Solution spans are written once, at the end.
+// ascending, and STEP 5 is one flat pass over k.  The warm start
+// (mva::MvaWarmStart) is packed in this same k order and read in
+// place; the dense [n * R + r] Solution spans are written once, at the
+// end.
 //
 // Sigma subproblem (STEP 2, thesis eq. 4.12): the single-chain MVA of
 // solve_single_chain in rolling two-level form, run level by level
@@ -104,21 +105,19 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
   const std::size_t chunk =
       (static_cast<std::size_t>(num_chains) + num_blocks - 1) / num_blocks;
 
-  const std::size_t cells = model.cell_count();
+  const std::size_t visited = model.visited_cell_count();
   if (warm_start != nullptr &&
       (warm_start->lambda.size() != static_cast<std::size_t>(num_chains) ||
-       warm_start->number.size() != cells ||
-       (!warm_start->sigma.empty() && warm_start->sigma.size() != cells))) {
+       warm_start->number.size() != visited ||
+       (!warm_start->sigma.empty() && warm_start->sigma.size() != visited))) {
     throw std::invalid_argument(
         "solve_approx_mva: warm-start state does not match the model's "
-        "chain/station counts");
+        "chain count and visited cells");
   }
 
   ws.reset();
-  const std::size_t visited = model.visited_cell_count();
   const std::span<const int> cell_chain = model.cell_chain();
   const std::span<const int> cell_station = model.cell_station();
-  const std::span<const std::size_t> cell_index = model.cell_index();
   const std::span<const double> demand = model.cell_demand();
   // Packed solve state over the visited cells.
   std::span<double> number = ws.zeroed_doubles(visited);
@@ -180,7 +179,7 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     }
     if (warm_start != nullptr) {
       for (const int k : route) {
-        number[k] = std::max(0.0, warm_start->number[cell_index[k]]);
+        number[k] = std::max(0.0, warm_start->number[k]);
       }
       lambda[static_cast<std::size_t>(r)] =
           std::max(0.0, warm_start->lambda[static_cast<std::size_t>(r)]);
@@ -207,7 +206,7 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
   const bool lazy_sigma = warm_start != nullptr && !warm_start->sigma.empty();
   if (lazy_sigma) {
     for (std::size_t k = 0; k < visited; ++k) {
-      sigma[k] = std::clamp(warm_start->sigma[cell_index[k]], 0.0, 1.0);
+      sigma[k] = std::clamp(warm_start->sigma[k], 0.0, 1.0);
     }
     std::copy(lambda.begin(), lambda.end(), lambda_sigma.begin());
   }
@@ -440,6 +439,8 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
   }
 
   // Dense [n * R + r] outputs; off the routes N, t and sigma are +0.0.
+  const std::size_t cells = model.cell_count();
+  const std::span<const std::size_t> cell_index = model.cell_index();
   std::span<double> dense_number = ws.zeroed_doubles(cells);
   std::span<double> dense_time = ws.zeroed_doubles(cells);
   std::span<double> dense_sigma = ws.zeroed_doubles(cells);

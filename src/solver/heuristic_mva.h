@@ -32,7 +32,8 @@ namespace windim::solver {
 /// (SigmaPolicy::kSchweitzerBard).  Reads Workspace::hints: `mva`
 /// supplies iteration options (the sigma policy inside it is
 /// overridden by this solver's own policy) and `warm_start` seeds the
-/// fixed point.
+/// fixed point; its N and sigma are packed over the model's visited
+/// cells (std::invalid_argument otherwise).
 class HeuristicMvaSolver final : public Solver {
  public:
   HeuristicMvaSolver(std::string_view name, mva::SigmaPolicy policy) noexcept

@@ -57,7 +57,8 @@ namespace windim::solver {
 /// in its signature.  Solvers read the hints they understand and ignore
 /// the rest; the engine clears/sets them around each solve.
 struct SolveHints {
-  /// Heuristic MVA: seed the fixed point from a nearby converged state.
+  /// Heuristic MVA: seed the fixed point from a nearby converged state,
+  /// packed over the model's visited cells (mva/approx.h).
   const mva::MvaWarmStart* warm_start = nullptr;
   /// Heuristic MVA / Schweitzer: iteration options (tolerance, damping,
   /// sigma refresh threshold...).  Null = solver defaults.

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdlib>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -20,61 +19,6 @@
 namespace windim::core {
 namespace {
 
-/// Packs converged warm-start states down to the cells a heuristic-MVA
-/// solve can make nonzero.  Off a chain's route its demand is 0, so its
-/// queue N and sigma stay exactly 0 through every solve (DESIGN.md §5,
-/// §10).  A packed state is lambda (one per chain) followed by N and,
-/// when the state has one, sigma at the model's visited cells, in their
-/// CompiledModel order (station->chain CSR); an empty sigma stays empty.
-/// unpack() writes only the visited cells of a dense seed whose other
-/// cells stay 0, so the solver reads exactly the state pack() was
-/// given.
-class StatePacker {
- public:
-  explicit StatePacker(const qn::CompiledModel& model)
-      : num_chains_(static_cast<std::size_t>(model.num_chains())),
-        num_cells_(model.cell_count()),
-        cell_index_(model.cell_index()) {}
-
-  void pack(const mva::MvaWarmStart& dense, std::vector<double>& out) const {
-    out.clear();
-    if (dense.lambda.empty()) return;
-    out.reserve(num_chains_ +
-                (dense.sigma.empty() ? 1 : 2) * cell_index_.size());
-    out.insert(out.end(), dense.lambda.begin(), dense.lambda.end());
-    for (const std::size_t i : cell_index_) out.push_back(dense.number[i]);
-    if (dense.sigma.empty()) return;
-    for (const std::size_t i : cell_index_) out.push_back(dense.sigma[i]);
-  }
-
-  void unpack(const std::vector<double>& packed,
-              mva::MvaWarmStart& dense) const {
-    const std::size_t v = cell_index_.size();
-    const double* values = packed.data();
-    dense.lambda.assign(values, values + num_chains_);
-    values += num_chains_;
-    dense.number.resize(num_cells_, 0.0);
-    for (std::size_t k = 0; k < v; ++k) {
-      dense.number[cell_index_[k]] = values[k];
-    }
-    if (packed.size() == num_chains_ + v) {
-      dense.sigma.clear();
-      return;
-    }
-    values += v;
-    dense.sigma.resize(num_cells_, 0.0);
-    for (std::size_t k = 0; k < v; ++k) {
-      dense.sigma[cell_index_[k]] = values[k];
-    }
-  }
-
- private:
-  std::size_t num_chains_;
-  std::size_t num_cells_;
-  // Dense [n * R + r] index of each visited cell (the model's map).
-  std::span<const std::size_t> cell_index_;
-};
-
 /// Every full Evaluation of the run, shared between the objective, the
 /// warm-start seeding, the probe hook and the final best-point read —
 /// the search memoizes objective *values*, this store keeps the
@@ -83,9 +27,9 @@ class EvaluationStore {
  public:
   struct Entry {
     Evaluation evaluation;
-    /// Converged solver state (StatePacker format); empty unless the
-    /// run warm-starts.
-    std::vector<double> state;
+    /// Converged solver state, packed over the visited cells of the
+    /// compiled view solved; empty unless the run warm-starts.
+    mva::MvaWarmStart state;
     const Entry* anchor = nullptr;  // warm-start seed (null = cold)
   };
 
@@ -102,7 +46,7 @@ class EvaluationStore {
   /// accepted base points of the pattern search, in trajectory order.
   void add_anchor(const std::vector<int>& windows) {
     const Entry* entry = find(windows);
-    if (entry == nullptr || entry->state.empty()) return;
+    if (entry == nullptr || entry->state.lambda.empty()) return;
     anchors_.push_back(entry);  // node pointers survive rehashing
   }
 
@@ -192,17 +136,6 @@ DimensionResult dimension_windows(const WindowProblem& problem,
 
   const bool warm =
       options.warm_start && solver.traits().supports_warm_start;
-  // Warm runs keep packed states per entry and two run-owned dense
-  // buffers: the seed unpacked from the anchor before each solve, and
-  // the solve's final state before it is packed.
-  std::optional<StatePacker> packer;
-  if (warm) {
-    packer.emplace(solver.traits().semiclosed_view
-                       ? problem.compiled_semiclosed()
-                       : problem.compiled());
-  }
-  mva::MvaWarmStart seed;
-  mva::MvaWarmStart final_state;
   // An observed run records every fresh solve.  The finished record
   // waits here for the probe hook, which the search calls right after
   // the objective returns.
@@ -219,11 +152,9 @@ DimensionResult dimension_windows(const WindowProblem& problem,
     // One recorder per evaluation (recorders are single-solve).
     std::optional<obs::ConvergenceRecorder> recorder;
     if (options.observe) recorder.emplace();
-    if (anchor != nullptr) packer->unpack(anchor->state, seed);
     entry.evaluation = problem.evaluate_with(
-        e, solver, *ws, &options.mva, anchor ? &seed : nullptr,
-        warm ? &final_state : nullptr, recorder ? &*recorder : nullptr);
-    if (warm) packer->pack(final_state, entry.state);
+        e, solver, *ws, &options.mva, anchor ? &anchor->state : nullptr,
+        warm ? &entry.state : nullptr, recorder ? &*recorder : nullptr);
     search::VectorEval value = objective_vector(entry.evaluation, spec);
     if (recorder && recorder->has_record()) {
       pending_solve = recorder->take_record();

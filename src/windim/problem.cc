@@ -1,6 +1,7 @@
 #include "windim/problem.h"
 
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -126,11 +127,6 @@ Evaluation WindowProblem::evaluate_with(
   const qn::CompiledModel& model =
       traits.semiclosed_view ? compiled_semi_ : compiled_;
   const int num_chains = model.num_chains();
-  if (final_state != nullptr) {
-    final_state->lambda.clear();
-    final_state->number.clear();
-    final_state->sigma.clear();
-  }
 
   // Per-solve hints are rebuilt from the arguments; `pool` and `cancel`
   // are caller-owned and survive the rebuild (the --solver-threads and
@@ -146,11 +142,24 @@ Evaluation WindowProblem::evaluate_with(
   const solver::Solution sol = solver.solve_profiled(model, windows, ws);
   ws.hints = solver::SolveHints{};
 
-  if (traits.supports_warm_start && final_state != nullptr) {
-    final_state->lambda.assign(sol.chain_throughput.begin(),
-                               sol.chain_throughput.end());
-    final_state->number.assign(sol.mean_queue.begin(), sol.mean_queue.end());
-    final_state->sigma.assign(sol.sigma.begin(), sol.sigma.end());
+  if (final_state != nullptr) {
+    // The packed format: one gather of the dense Solution at the
+    // visited cells.  Sigma stays empty when the solve has none (`auto`
+    // routed to an exact solver).
+    final_state->lambda.clear();
+    final_state->number.clear();
+    final_state->sigma.clear();
+    if (traits.supports_warm_start) {
+      const std::span<const std::size_t> cells = model.cell_index();
+      final_state->lambda.assign(sol.chain_throughput.begin(),
+                                 sol.chain_throughput.end());
+      final_state->number.resize(cells.size());
+      final_state->sigma.resize(sol.sigma.empty() ? 0 : cells.size());
+      for (std::size_t k = 0; k < cells.size(); ++k) {
+        final_state->number[k] = sol.mean_queue[cells[k]];
+        if (!sol.sigma.empty()) final_state->sigma[k] = sol.sigma[cells[k]];
+      }
+    }
   }
 
   Evaluation ev;
@@ -186,16 +195,13 @@ Evaluation WindowProblem::evaluate_with(
   return ev;
 }
 
-Evaluation WindowProblem::evaluate(const std::vector<int>& windows,
-                                   std::string_view solver_name,
-                                   const mva::ApproxMvaOptions& mva_options,
-                                   const mva::MvaWarmStart* warm_start,
-                                   mva::MvaWarmStart* final_state) const {
+Evaluation WindowProblem::evaluate(
+    const std::vector<int>& windows, std::string_view solver_name,
+    const mva::ApproxMvaOptions& mva_options) const {
   const solver::Solver& solver =
       solver::SolverRegistry::instance().require(solver_name);
   thread_local solver::Workspace ws;
-  return evaluate_with(windows, solver, ws, &mva_options, warm_start,
-                       final_state);
+  return evaluate_with(windows, solver, ws, &mva_options);
 }
 
 }  // namespace windim::core

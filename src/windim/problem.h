@@ -100,8 +100,9 @@ class WindowProblem {
   /// power needs the route queue populations.
   ///
   /// `warm_start` / `final_state` seed and capture the fixed-point
-  /// state of warm-startable solvers; both are ignored (final_state
-  /// cleared) otherwise.
+  /// state of warm-startable solvers, in the packed MvaWarmStart format
+  /// over the visited cells of the compiled view solved; both are
+  /// ignored (final_state cleared) otherwise.
   ///
   /// `convergence`, when non-null, receives this solve's per-iteration
   /// telemetry (obs/convergence.h): iterative solvers stream every
@@ -124,9 +125,7 @@ class WindowProblem {
   [[nodiscard]] Evaluation evaluate(
       const std::vector<int>& windows,
       std::string_view solver = "heuristic-mva",
-      const mva::ApproxMvaOptions& mva_options = {},
-      const mva::MvaWarmStart* warm_start = nullptr,
-      mva::MvaWarmStart* final_state = nullptr) const;
+      const mva::ApproxMvaOptions& mva_options = {}) const;
 
  private:
   std::vector<net::TrafficClass> classes_;

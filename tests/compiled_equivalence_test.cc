@@ -306,15 +306,19 @@ TEST(CompiledEquivalence, WarmStartWithIdleChainsMatchesLegacyBitForBit) {
   for (int r = 0; r < model.num_chains(); r += 7) model.set_population(r, 0);
   const mva::ApproxMvaOptions options;
   const mva::MvaSolution cold = mva::solve_approx_mva(model, options);
-  const mva::MvaWarmStart seed{cold.chain_throughput, cold.mean_queue,
-                               cold.sigma};
   // A neighbouring window setting, as the pattern search probes it.
   for (const int r : {1, 100, 500, 998}) {
     model.set_population(r, model.chain(r).population + 1);
   }
-  const mva::MvaSolution legacy = mva::solve_approx_mva(model, options, &seed);
+  const mva::MvaSolution legacy = mva::solve_approx_mva(model, options, &cold);
 
   const qn::CompiledModel compiled = qn::CompiledModel::compile(model);
+  // The kernel's seed: the same state at the visited cells.
+  mva::MvaWarmStart seed{cold.chain_throughput, {}, {}};
+  for (const std::size_t i : compiled.cell_index()) {
+    seed.number.push_back(cold.mean_queue[i]);
+    seed.sigma.push_back(cold.sigma[i]);
+  }
   const std::vector<int> population(compiled.base_populations().begin(),
                                     compiled.base_populations().end());
   solver::Workspace ws;

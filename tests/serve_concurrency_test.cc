@@ -6,7 +6,7 @@
 // accounting identity hits + misses == compile lookups, the
 // per-connection reply ordering of the pipelined stream loop, and (on
 // Linux) that a request's solver_threads cannot make the server spawn
-// threads.
+// threads and that the socket daemon reaps finished connections.
 //
 // Runs under TSan in CI (the tsan job executes the full ctest suite).
 #include <gtest/gtest.h>
@@ -14,11 +14,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+#endif
 
 #include "obs/json.h"
 #include "serve/server.h"
@@ -234,6 +243,68 @@ TEST(ServeConcurrency, SolverThreadsRequestsSpawnNoThreads) {
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   constexpr std::size_t kSlack = 4;
   EXPECT_LE(peak, before + kWorkers + hw + 1 + kSlack);
+}
+
+/// Mappings of this process right now (one /proc/self/maps line each; a
+/// thread's stack and its guard page are two).
+std::size_t live_mappings() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(ServeConcurrency, FinishedConnectionsAreReaped) {
+  // serve_unix runs each connection on its own thread.  A finished one
+  // must be joined while the daemon keeps serving: unjoined, every
+  // closed connection keeps its stack mapped until shutdown.
+  serve::Server server(options_with(2));
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("windim-reap-" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  std::promise<void> ready;
+  std::thread daemon([&] {
+    bool listening = false;
+    const int rc = server.serve_unix(path, [&] {
+      listening = true;
+      ready.set_value();
+    });
+    if (!listening) ready.set_value();
+    EXPECT_EQ(rc, 0);
+  });
+  ready.get_future().wait();
+  const std::size_t before = live_mappings();
+
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  constexpr int kConnections = 300;
+  for (int i = 0; i < kConnections; ++i) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const bool connected =
+        fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                             sizeof(addr)) == 0;
+    if (fd >= 0) ::close(fd);
+    if (!connected) {
+      ADD_FAILURE() << "connection " << i << " failed";
+      break;
+    }
+  }
+  // The accept loop polls every 200 ms; give it a few passes.
+  constexpr std::size_t kSlack = 16;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::size_t after = live_mappings();
+  while (after > before + kSlack &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after = live_mappings();
+  }
+  EXPECT_LE(after, before + kSlack);
+
+  (void)server.handle_line("{\"op\":\"shutdown\"}");
+  daemon.join();
 }
 #endif
 

@@ -214,8 +214,10 @@ TEST(SolverRegistry, WarmStartHintReachesTheSameFixedPoint) {
   mva::MvaWarmStart state;
   state.lambda.assign(cold.chain_throughput.begin(),
                       cold.chain_throughput.end());
-  state.number.assign(cold.mean_queue.begin(), cold.mean_queue.end());
-  state.sigma.assign(cold.sigma.begin(), cold.sigma.end());
+  for (const std::size_t i : compiled.cell_index()) {
+    state.number.push_back(cold.mean_queue[i]);
+    state.sigma.push_back(cold.sigma[i]);
+  }
   const int cold_iterations = cold.iterations;
 
   solver::Workspace warm_ws;
