@@ -21,7 +21,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <iostream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -999,13 +998,18 @@ int cmd_serve(const std::vector<std::string>& args) {
   serve::Server server(options);
   int rc = 0;
   if (stdio) {
-    rc = server.serve_stream(std::cin, std::cout);
+    rc = server.serve_connection(0, 1);
   } else {
-    rc = server.serve_unix(socket_path, [&socket_path]() {
-      // Readiness line the smoke harness synchronizes on.
-      std::printf("listening %s\n", socket_path.c_str());
-      std::fflush(stdout);
-    });
+    try {
+      server.serve_unix(socket_path, [&socket_path]() {
+        // Readiness line the smoke harness synchronizes on.
+        std::printf("listening %s\n", socket_path.c_str());
+        std::fflush(stdout);
+      });
+    } catch (const std::system_error& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
   }
   if (!metrics_out.empty() && !write_metrics_json(metrics_out)) return 1;
   return rc;

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Scripted fault-injection session against a live `windim serve` daemon.
 
-Usage: serve_smoke.py PATH_TO_WINDIM_CLI
+Usage: serve_smoke.py [--stdio] PATH_TO_WINDIM_CLI
 
-Boots the daemon on a Unix-domain socket (with a small request-size cap
-so the oversized-payload path is reachable), then drives one client
-session through every reply class the protocol defines:
+Without --stdio, boots the daemon on a Unix-domain socket (with a small
+request-size cap so the oversized-payload path is reachable), then
+drives one client session through every reply class the protocol
+defines:
 
   1. a well-formed evaluate        -> ok reply with the evaluation body;
   2. non-JSON garbage              -> parse_error, null id, daemon alive;
@@ -54,15 +55,27 @@ session through every reply class the protocol defines:
                                       --metrics-out final snapshot
                                       written as valid JSON.
 
+With --stdio, boots `serve --stdio --max-request-bytes=1024` on pipes
+and checks what the connection loop owes a client of stdin/stdout:
+
+  1. three evaluate round trips, each line sent only after the previous
+     reply arrived; every reply must come within 1 s;
+  2. 4 MiB of one unterminated line: payload_too_large must arrive
+     before the line's newline is sent, and a following evaluate is
+     still answered;
+  3. a last line without a newline, then stdin closed: that line gets
+     parse_error, and the daemon exits 0.
+
 Exits nonzero (with a diagnostic on stderr) on the first violation.
-ctest runs it as serve_smoke_socket; the serve-smoke CI job also runs
-it under ASan+UBSan so every one of those paths is leak- and
-UB-checked.
+ctest runs the two modes as serve_smoke_socket and serve_smoke_stdio;
+the serve-smoke CI job also runs both under ASan+UBSan so every one of
+those paths is leak- and UB-checked.
 """
 
 import json
 import os
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -177,10 +190,80 @@ def parse_openmetrics(text, what):
     return families, samples
 
 
-def main():
-    if len(sys.argv) != 2:
-        fail("usage: serve_smoke.py PATH_TO_WINDIM_CLI")
-    cli = sys.argv[1]
+class StdioDaemon:
+    """`windim_cli serve --stdio --max-request-bytes=1024` on pipes, with
+    replies read under a timeout (a missing reply fails the smoke
+    instead of hanging it)."""
+
+    def __init__(self, cli):
+        self.proc = subprocess.Popen(
+            [cli, "serve", "--stdio", "--max-request-bytes=1024"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.pending = b""
+
+    def send(self, data):
+        self.proc.stdin.write(data)
+        self.proc.stdin.flush()
+
+    def reply(self, timeout, what):
+        fd = self.proc.stdout.fileno()
+        end = time.time() + timeout
+        while b"\n" not in self.pending:
+            left = end - time.time()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                fail("no reply within %.1f s to %s" % (timeout, what))
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                fail("daemon closed stdout instead of replying to %s" % what)
+            self.pending += chunk
+        line, self.pending = self.pending.split(b"\n", 1)
+        try:
+            return json.loads(line)
+        except ValueError:
+            fail("reply to %s is not JSON: %r" % (what, line[:120]))
+
+
+def stdio_session(cli):
+    daemon = StdioDaemon(cli)
+    try:
+        def evaluate(rid):
+            daemon.send(json.dumps({"op": "evaluate", "spec": SPEC,
+                                    "windows": [3, 2], "id": rid}).encode()
+                        + b"\n")
+            r = daemon.reply(1.0, "evaluate %d" % rid)
+            if r.get("ok") is not True or r.get("id") != rid:
+                fail("evaluate %d: %s" % (rid, r))
+
+        # 1. A client that waits for each reply before its next line.
+        for rid in (1, 2, 3):
+            evaluate(rid)
+
+        # 2. An unterminated line far past the cap is answered before
+        # its newline, and the connection keeps serving after it.
+        chunk = b"x" * 65536
+        for _ in range(64):
+            daemon.send(chunk)
+        expect_error(daemon.reply(5.0, "an unterminated 4 MiB line"),
+                     "payload_too_large", "unterminated over-cap line")
+        daemon.send(b"\n")
+        evaluate(4)
+
+        # 3. A last line without a newline is answered at end of input.
+        daemon.send(b'{"op":"evaluate","spec":"tru')
+        daemon.proc.stdin.close()
+        expect_error(daemon.reply(5.0, "a last line without a newline"),
+                     "parse_error", "last line without a newline")
+        code = daemon.proc.wait(timeout=30)
+        if code != 0:
+            fail("daemon exited %d after stdin closed" % code)
+    finally:
+        if daemon.proc.poll() is None:
+            daemon.proc.kill()
+            daemon.proc.wait()
+    print("serve_smoke --stdio: PASS")
+
+
+def socket_session(cli):
     workdir = tempfile.mkdtemp(prefix="windim-serve-")
     sock_path = os.path.join(workdir, "smoke.sock")
     flight_path = os.path.join(workdir, "flight.jsonl")
@@ -473,6 +556,19 @@ def main():
             daemon.wait()
 
     print("serve_smoke: PASS")
+
+
+def main():
+    args = sys.argv[1:]
+    stdio = args[:1] == ["--stdio"]
+    if stdio:
+        args = args[1:]
+    if len(args) != 1:
+        fail("usage: serve_smoke.py [--stdio] PATH_TO_WINDIM_CLI")
+    if stdio:
+        stdio_session(args[0])
+    else:
+        socket_session(args[0])
 
 
 if __name__ == "__main__":

@@ -10,19 +10,17 @@
 #include <cstring>
 #include <deque>
 #include <future>
-#include <istream>
 #include <list>
 #include <memory>
-#include <ostream>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -35,6 +33,7 @@
 #include "verify/corpus.h"
 #include "verify/oracle.h"
 #include "windim/dimension.h"
+#include "windim/objectives.h"
 #include "windim/pareto.h"
 
 namespace windim::serve {
@@ -129,8 +128,8 @@ void write_histogram(obs::JsonWriter& w, const obs::HistogramSnapshot& h) {
 }
 
 /// SIGTERM/SIGINT latch for serve_unix.  A lock-free atomic is both
-/// async-signal-safe and race-free for the connection threads that poll
-/// it (a volatile sig_atomic_t is only the former).
+/// async-signal-safe and race-free for the connections that poll it (a
+/// volatile sig_atomic_t is only the former).
 std::atomic<int> g_stop_signal{0};
 static_assert(std::atomic<int>::is_always_lock_free);
 void on_stop_signal(int) { g_stop_signal.store(1); }
@@ -190,22 +189,27 @@ class StageSpan {
   std::uint64_t start_ = 0;
 };
 
-/// Writes one reply to a client socket.  MSG_NOSIGNAL turns a peer that
-/// already hung up into EPIPE/ECONNRESET instead of a process-wide
-/// SIGPIPE, so a vanished client ends only its own connection.  Returns
-/// false once the peer is gone (or on any other write error).
-bool send_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+/// Writes all of `data` to `fd`.  On a socket, MSG_NOSIGNAL turns a peer
+/// that already hung up into EPIPE/ECONNRESET instead of a process-wide
+/// SIGPIPE, so a vanished client ends only its own connection.  A pipe
+/// or file (--stdio) is not a socket; send() fails there with ENOTSOCK
+/// and the bytes go through write().  Returns false on a write error.
+bool write_all(int fd, std::string_view data) {
+  while (!data.empty()) {
+    ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK) n = ::write(fd, data.data(), data.size());
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    off += static_cast<std::size_t>(n);
+    data.remove_prefix(static_cast<std::size_t>(n));
   }
   return true;
+}
+
+[[noreturn]] void throw_listen_error(const std::string& path, int err) {
+  throw std::system_error(err, std::generic_category(),
+                          "cannot listen on '" + path + "'");
 }
 
 }  // namespace
@@ -221,15 +225,12 @@ Server::Server(ServeOptions options)
       traces_(options.trace_capacity) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   if (options_.enable_metrics) reg.set_enabled(true);
-  latency_evaluate_ = reg.histogram("windim.serve.latency_us.evaluate");
-  latency_dimension_ = reg.histogram("windim.serve.latency_us.dimension");
-  latency_pareto_ = reg.histogram("windim.serve.latency_us.pareto");
-  latency_scenario_ = reg.histogram("windim.serve.latency_us.scenario");
-  latency_fuzz_replay_ = reg.histogram("windim.serve.latency_us.fuzz_replay");
-  latency_stats_ = reg.histogram("windim.serve.latency_us.stats");
-  latency_trace_ = reg.histogram("windim.serve.latency_us.trace");
-  latency_metrics_ = reg.histogram("windim.serve.latency_us.metrics");
-  latency_dump_ = reg.histogram("windim.serve.latency_us.dump");
+  for (const Op op : kOpDisplayOrder) {
+    if (op == Op::kShutdown) continue;
+    std::string name = "windim.serve.latency_us." + std::string(to_string(op));
+    std::replace(name.begin(), name.end(), '-', '_');  // fuzz-replay
+    latency_[static_cast<std::size_t>(op)] = reg.histogram(name);
+  }
   windows_.reserve(kNumOps + 1);
   for (int i = 0; i <= kNumOps; ++i) {
     windows_.push_back(std::make_unique<OpWindow>(clock_));
@@ -317,27 +318,13 @@ Server::Reply Server::handle_line(const std::string& line,
 
 Server::Reply Server::execute(const Request& request, RequestTrace& trace,
                               bool& ok, ErrorCode& code) {
-  obs::Histogram* latency = nullptr;
-  switch (request.op) {
-    case Op::kEvaluate: latency = &latency_evaluate_; break;
-    case Op::kDimension: latency = &latency_dimension_; break;
-    case Op::kPareto: latency = &latency_pareto_; break;
-    case Op::kScenario: latency = &latency_scenario_; break;
-    case Op::kFuzzReplay: latency = &latency_fuzz_replay_; break;
-    case Op::kStats: latency = &latency_stats_; break;
-    case Op::kTrace: latency = &latency_trace_; break;
-    case Op::kMetrics: latency = &latency_metrics_; break;
-    case Op::kDump: latency = &latency_dump_; break;
-    case Op::kShutdown: break;
-  }
-
   std::string message;
   try {
     std::string json;
     bool shutdown = false;
     {
-      std::optional<obs::ScopedTimerUs> timer;
-      if (latency != nullptr) timer.emplace(*latency);
+      const obs::ScopedTimerUs timer(
+          latency_[static_cast<std::size_t>(request.op)]);
       switch (request.op) {
         case Op::kEvaluate:
           json = run_evaluate(request, trace);
@@ -468,22 +455,28 @@ void Server::finish_request(const std::optional<Op>& op, RequestTrace&& trace,
   }
 }
 
-std::string Server::run_evaluate(const Request& request,
-                                 RequestTrace& trace) {
+std::shared_ptr<const CachedModel> Server::lookup_model(
+    const Request& request, RequestTrace& trace) {
   std::shared_ptr<const CachedModel> model;
   {
     StageSpan span(span_clock(), trace, "cache_lookup");
     model = cache_.lookup_or_compile(request.spec);
   }
   trace.topology_hash = model->topology_hash;
-  const std::string solver_name =
-      request.solver.empty() ? "heuristic-mva" : request.solver;
-  const solver::Solver* solver =
-      solver::SolverRegistry::instance().find(solver_name);
-  if (solver == nullptr) {
+  if (!request.solver.empty() &&
+      solver::SolverRegistry::instance().find(request.solver) == nullptr) {
     throw ServeError(ErrorCode::kUnknownSolver,
-                     unknown_solver_message(solver_name));
+                     unknown_solver_message(request.solver));
   }
+  return model;
+}
+
+std::string Server::run_evaluate(const Request& request,
+                                 RequestTrace& trace) {
+  const std::shared_ptr<const CachedModel> model =
+      lookup_model(request, trace);
+  const solver::Solver& solver = solver::SolverRegistry::instance().require(
+      request.solver.empty() ? "heuristic-mva" : request.solver);
   if (static_cast<int>(request.windows.size()) !=
       model->problem.num_classes()) {
     throw ServeError(
@@ -510,7 +503,7 @@ std::string Server::run_evaluate(const Request& request,
   {
     StageSpan span(sc, trace, "solve");
     solved.emplace(
-        model->problem.evaluate_with(request.windows, *solver, *ws));
+        model->problem.evaluate_with(request.windows, solver, *ws));
   }
   const core::Evaluation& ev = *solved;
 
@@ -518,24 +511,15 @@ std::string Server::run_evaluate(const Request& request,
   begin_reply(w, request.id, Op::kEvaluate);
   begin_ok_result(w);
   w.key("solver");
-  w.value(solver->name());
+  w.value(solver.name());
   write_evaluation(w, ev);
   return finish_reply(std::move(w));
 }
 
 std::string Server::run_dimension(const Request& request,
                                   RequestTrace& trace) {
-  std::shared_ptr<const CachedModel> model;
-  {
-    StageSpan span(span_clock(), trace, "cache_lookup");
-    model = cache_.lookup_or_compile(request.spec);
-  }
-  trace.topology_hash = model->topology_hash;
-  if (!request.solver.empty() &&
-      solver::SolverRegistry::instance().find(request.solver) == nullptr) {
-    throw ServeError(ErrorCode::kUnknownSolver,
-                     unknown_solver_message(request.solver));
-  }
+  const std::shared_ptr<const CachedModel> model =
+      lookup_model(request, trace);
 
   const RequestDeadline deadline(request.deadline_ms,
                                  options_.default_deadline_ms);
@@ -550,20 +534,11 @@ std::string Server::run_dimension(const Request& request,
   opts.cancel = deadline.get();
   opts.alpha = request.has_alpha ? request.alpha : 1.0;
   opts.min_fairness = request.has_min_fairness ? request.min_fairness : 0.0;
-  if (request.objective == "power") {
-    opts.objective = core::DimensionObjective::kPower;
-  } else if (request.objective == "gpower") {
-    opts.objective = core::DimensionObjective::kGeneralizedPower;
-  } else if (request.objective == "alpha-fair") {
-    opts.objective = core::DimensionObjective::kAlphaFair;
-  } else if (request.objective == "power-fair-constrained") {
-    opts.objective = core::DimensionObjective::kPowerFairConstrained;
-  } else {
-    opts.objective = core::DimensionObjective::kThroughputUnderDelayCap;
-    if (!(request.max_delay > 0.0)) {
-      throw ServeError(ErrorCode::kInvalidRequest,
-                       "objective 'delaycap' requires max_delay > 0");
-    }
+  opts.objective = core::objective_kind_from_string(request.objective);
+  if (opts.objective == core::DimensionObjective::kThroughputUnderDelayCap &&
+      !(request.max_delay > 0.0)) {
+    throw ServeError(ErrorCode::kInvalidRequest,
+                     "objective 'delaycap' requires max_delay > 0");
   }
 
   std::optional<core::DimensionResult> searched;
@@ -607,17 +582,8 @@ std::string Server::run_dimension(const Request& request,
 }
 
 std::string Server::run_pareto(const Request& request, RequestTrace& trace) {
-  std::shared_ptr<const CachedModel> model;
-  {
-    StageSpan span(span_clock(), trace, "cache_lookup");
-    model = cache_.lookup_or_compile(request.spec);
-  }
-  trace.topology_hash = model->topology_hash;
-  if (!request.solver.empty() &&
-      solver::SolverRegistry::instance().find(request.solver) == nullptr) {
-    throw ServeError(ErrorCode::kUnknownSolver,
-                     unknown_solver_message(request.solver));
-  }
+  const std::shared_ptr<const CachedModel> model =
+      lookup_model(request, trace);
 
   const RequestDeadline deadline(request.deadline_ms,
                                  options_.default_deadline_ms);
@@ -728,17 +694,8 @@ std::string Server::run_pareto(const Request& request, RequestTrace& trace) {
 
 std::string Server::run_scenario(const Request& request,
                                  RequestTrace& trace) {
-  std::shared_ptr<const CachedModel> model;
-  {
-    StageSpan span(span_clock(), trace, "cache_lookup");
-    model = cache_.lookup_or_compile(request.spec);
-  }
-  trace.topology_hash = model->topology_hash;
-  if (!request.solver.empty() &&
-      solver::SolverRegistry::instance().find(request.solver) == nullptr) {
-    throw ServeError(ErrorCode::kUnknownSolver,
-                     unknown_solver_message(request.solver));
-  }
+  const std::shared_ptr<const CachedModel> model =
+      lookup_model(request, trace);
 
   const RequestDeadline deadline(request.deadline_ms,
                                  options_.default_deadline_ms);
@@ -854,26 +811,10 @@ std::string Server::run_stats(const Request& request) {
   w.value(c.errors);
   w.key("by_op");
   w.begin_object();
-  w.key("evaluate");
-  w.value(c.evaluate);
-  w.key("dimension");
-  w.value(c.dimension);
-  w.key("pareto");
-  w.value(c.pareto);
-  w.key("scenario");
-  w.value(c.scenario);
-  w.key("fuzz-replay");
-  w.value(c.fuzz_replay);
-  w.key("stats");
-  w.value(c.stats);
-  w.key("trace");
-  w.value(c.trace);
-  w.key("metrics");
-  w.value(c.metrics);
-  w.key("dump");
-  w.value(c.dump);
-  w.key("shutdown");
-  w.value(c.shutdown);
+  for (const Op op : kOpDisplayOrder) {
+    w.key(to_string(op));
+    w.value(c.by_op[static_cast<std::size_t>(op)]);
+  }
   w.end_object();
   w.key("threads");
   w.value(static_cast<std::uint64_t>(pool_.num_threads()));
@@ -1161,115 +1102,124 @@ ServeCounters Server::counters() const {
   c.requests = requests_.load(std::memory_order_relaxed);
   c.ok = ok_.load(std::memory_order_relaxed);
   c.errors = errors_.load(std::memory_order_relaxed);
-  c.evaluate =
-      op_counts_[static_cast<std::size_t>(Op::kEvaluate)].load(
-          std::memory_order_relaxed);
-  c.dimension =
-      op_counts_[static_cast<std::size_t>(Op::kDimension)].load(
-          std::memory_order_relaxed);
-  c.pareto = op_counts_[static_cast<std::size_t>(Op::kPareto)].load(
-      std::memory_order_relaxed);
-  c.scenario = op_counts_[static_cast<std::size_t>(Op::kScenario)].load(
-      std::memory_order_relaxed);
-  c.fuzz_replay =
-      op_counts_[static_cast<std::size_t>(Op::kFuzzReplay)].load(
-          std::memory_order_relaxed);
-  c.stats = op_counts_[static_cast<std::size_t>(Op::kStats)].load(
-      std::memory_order_relaxed);
-  c.trace = op_counts_[static_cast<std::size_t>(Op::kTrace)].load(
-      std::memory_order_relaxed);
-  c.metrics = op_counts_[static_cast<std::size_t>(Op::kMetrics)].load(
-      std::memory_order_relaxed);
-  c.dump = op_counts_[static_cast<std::size_t>(Op::kDump)].load(
-      std::memory_order_relaxed);
-  c.shutdown = op_counts_[static_cast<std::size_t>(Op::kShutdown)].load(
-      std::memory_order_relaxed);
+  for (std::size_t i = 0; i < c.by_op.size(); ++i) {
+    c.by_op[i] = op_counts_[i].load(std::memory_order_relaxed);
+  }
   return c;
 }
 
-bool Server::pump(const std::function<ReadResult(std::string&)>& next_line,
-                  const std::function<void(const std::string&)>& write_line) {
+int Server::serve_connection(int in_fd, int out_fd) {
+  const std::size_t max_inflight =
+      std::max<std::size_t>(1, options_.max_inflight);
   std::deque<std::future<Reply>> inflight;
-  bool stop_reading = false;
-  bool saw_shutdown = false;
+  std::string buffer;       // bytes read but not yet taken as lines
+  std::size_t scan = 0;     // buffer[0, scan) holds no newline
+  bool discarding = false;  // dropping the rest of an over-cap line
+  bool reading = true;
+  bool written = true;  // false once a reply could not be written
 
-  const auto drain_front = [&] {
-    Reply reply = inflight.front().get();
-    inflight.pop_front();
-    write_line(reply.json);
-    if (reply.shutdown) {
-      // Stop accepting lines; everything already submitted still drains
-      // (those requests were concurrent with the shutdown).
-      stop_reading = true;
-      saw_shutdown = true;
-    }
-  };
-  // Completed replies flush eagerly (FIFO — only the front can be
-  // written), so a client waiting for an answer before sending its
-  // next request is never starved by a quiet intake.
-  const auto drain_ready = [&] {
-    while (!stop_reading && !inflight.empty() &&
-           inflight.front().wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready) {
-      drain_front();
-    }
-  };
-
-  std::string line;
-  while (!stop_reading) {
-    drain_ready();
-    if (stop_reading) break;
-    // Bounded pipelining: block on the oldest reply before reading
-    // ahead further than max_inflight.
-    while (!stop_reading &&
-           inflight.size() >= std::max<std::size_t>(1, options_.max_inflight)) {
-      drain_front();
-    }
-    if (stop_reading) break;
-    const ReadResult r = next_line(line);
-    if (r == ReadResult::kEof) break;
-    if (r == ReadResult::kIdle) continue;
+  const auto submit = [&](std::string line) {
     const std::uint64_t enqueued_us = clock_->now_us();
     auto task = std::make_shared<std::packaged_task<Reply()>>(
-        [this, captured = line, enqueued_us]() {
-          return handle_line(captured, enqueued_us);
+        [this, line = std::move(line), enqueued_us]() {
+          return handle_line(line, enqueued_us);
         });
     inflight.push_back(task->get_future());
     pool_.submit([task]() { (*task)(); });
+  };
+  const auto write_front = [&] {
+    Reply reply = inflight.front().get();
+    inflight.pop_front();
+    reply.json += '\n';
+    if (written) written = write_all(out_fd, reply.json);
+    // After a shutdown reply, or once the peer is gone, stop taking
+    // lines; everything already submitted still finishes.
+    if (reply.shutdown || !written) reading = false;
+  };
+
+  while (reading) {
+    // Completed replies flush eagerly (FIFO: only the front can be
+    // written), so a client that waits for an answer before sending its
+    // next line is never starved; at max_inflight, block on the oldest.
+    while (reading && !inflight.empty() &&
+           (inflight.size() >= max_inflight ||
+            inflight.front().wait_for(std::chrono::seconds(0)) ==
+                std::future_status::ready)) {
+      write_front();
+    }
+    if (!reading) break;
+
+    const std::size_t nl = buffer.find('\n', scan);
+    if (nl != std::string::npos) {
+      submit(buffer.substr(0, nl));
+      buffer.erase(0, nl + 1);
+      scan = 0;
+      continue;
+    }
+    if (buffer.size() > options_.max_request_bytes) {
+      // No newline yet and already over the cap: answer now
+      // (handle_line rejects the prefix unparsed) and drop the rest of
+      // the line as it arrives, so the buffer stays bounded.
+      submit(buffer.substr(0, options_.max_request_bytes + 1));
+      buffer.clear();
+      scan = 0;
+      discarding = true;
+      continue;
+    }
+    scan = buffer.size();
+
+    // The timeout bounds how late a quiet connection flushes a finished
+    // reply and sees the drain.
+    pollfd pfd{in_fd, POLLIN, 0};
+    const int rc = ::poll(&pfd, 1, 50);
+    if (rc <= 0) {
+      if (rc < 0 && errno != EINTR) break;
+      if (g_stop_signal != 0 ||
+          shutting_down_.load(std::memory_order_acquire)) {
+        break;
+      }
+      continue;
+    }
+    char chunk[4096];
+    const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (n <= 0) {
+      // End of input (or a read error).  The buffer holds no newline
+      // here, so at most a last line without one, which is answered.
+      if (!buffer.empty()) submit(std::move(buffer));
+      break;
+    }
+    std::string_view data(chunk, static_cast<std::size_t>(n));
+    if (discarding) {
+      const std::size_t end = data.find('\n');
+      if (end == std::string_view::npos) continue;
+      data.remove_prefix(end + 1);
+      discarding = false;
+    }
+    buffer.append(data);
   }
-  while (!inflight.empty()) drain_front();
-  return saw_shutdown;
+  while (!inflight.empty()) write_front();
+  return written ? 0 : 1;
 }
 
-int Server::serve_stream(std::istream& in, std::ostream& out) {
-  pump(
-      [&](std::string& line) {
-        return std::getline(in, line) ? ReadResult::kLine : ReadResult::kEof;
-      },
-      [&](const std::string& reply) {
-        out << reply << '\n';
-        out.flush();
-      });
-  return 0;
-}
-
-int Server::serve_unix(const std::string& path,
-                       const std::function<void()>& on_ready) {
+void Server::serve_unix(const std::string& path,
+                        const std::function<void()>& on_ready) {
   sockaddr_un addr{};
   if (path.size() >= sizeof(addr.sun_path)) {
-    return 2;  // path does not fit AF_UNIX
+    throw_listen_error(path, ENAMETOOLONG);  // does not fit AF_UNIX
   }
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd < 0) return 2;
+  if (listen_fd < 0) throw_listen_error(path, errno);
   ::unlink(path.c_str());
   if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
       ::listen(listen_fd, 64) != 0) {
+    const int err = errno;
     ::close(listen_fd);
-    return 2;
+    throw_listen_error(path, err);
   }
 
   g_stop_signal = 0;
@@ -1319,71 +1269,9 @@ int Server::serve_unix(const std::string& path,
     if (rc <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
-    // Bounded reads: the 50 ms timeout both caps the tail latency of an
-    // eagerly-flushed reply (pump drains ready futures between polls)
-    // and lets a connection blocked on a quiet client notice the drain
-    // flag.
-    timeval tv{};
-    tv.tv_usec = 50 * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
     Connection& connection = connections.emplace_back();
     connection.thread = std::thread([this, fd, &done = connection.done]() {
-      std::string buffer;
-      std::size_t scan = 0;
-      // True while dropping the rest of an over-cap line.
-      bool discarding = false;
-      // True once a reply could not be sent (EPIPE/ECONNRESET: the peer
-      // hung up): stop reading; in-flight requests finish unsent.
-      bool peer_gone = false;
-      pump(
-          [&](std::string& line) {
-            if (peer_gone) return ReadResult::kEof;
-            const std::size_t nl = buffer.find('\n', scan);
-            if (nl != std::string::npos) {
-              line.assign(buffer, 0, nl);
-              buffer.erase(0, nl + 1);
-              scan = 0;
-              return ReadResult::kLine;
-            }
-            if (buffer.size() > options_.max_request_bytes) {
-              // No newline yet and already over the cap: answer now
-              // (handle_line rejects the prefix unparsed) and drop the
-              // rest of the line as it arrives, so the buffer stays
-              // bounded and the connection keeps serving.
-              line.assign(buffer, 0, options_.max_request_bytes + 1);
-              buffer.clear();
-              scan = 0;
-              discarding = true;
-              return ReadResult::kLine;
-            }
-            scan = buffer.size();
-            char chunk[4096];
-            const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-            if (n > 0) {
-              std::string_view data(chunk, static_cast<std::size_t>(n));
-              if (discarding) {
-                const std::size_t end = data.find('\n');
-                if (end == std::string_view::npos) return ReadResult::kIdle;
-                data.remove_prefix(end + 1);
-                discarding = false;
-              }
-              buffer.append(data);
-              return ReadResult::kIdle;  // re-scan on the next poll
-            }
-            if (n == 0) return ReadResult::kEof;  // peer closed
-            if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-              if (g_stop_signal != 0 ||
-                  shutting_down_.load(std::memory_order_acquire)) {
-                // Drain: stop reading, flush in-flight.
-                return ReadResult::kEof;
-              }
-              return ReadResult::kIdle;
-            }
-            return ReadResult::kEof;
-          },
-          [&](const std::string& reply) {
-            if (!peer_gone) peer_gone = !send_all(fd, reply + "\n");
-          });
+      (void)serve_connection(fd, fd);
       ::close(fd);
       done = true;
     });
@@ -1398,7 +1286,6 @@ int Server::serve_unix(const std::string& path,
   ::sigaction(SIGTERM, &old_term, nullptr);
   ::sigaction(SIGINT, &old_int, nullptr);
   ::sigaction(SIGUSR1, &old_usr1, nullptr);
-  return 0;
 }
 
 }  // namespace windim::serve

@@ -7,14 +7,14 @@
 // allocation guarantees of the engine survive intact under a mixed
 // request stream.
 //
-// Transport is pluggable around one thread-safe entry point,
-// handle_line(): serve_stream() speaks NDJSON over any istream/ostream
-// pair (the --stdio mode the conformance and concurrency tests drive),
-// serve_unix() accepts connections on a Unix-domain socket with a
-// graceful SIGTERM drain.  Both preserve REQUEST ORDER per connection
-// while letting requests execute concurrently: a bounded deque of
-// futures pipelines up to ServeOptions::max_inflight lines and replies
-// are written strictly FIFO.
+// Requests enter through one thread-safe entry point, handle_line(), and
+// every transport runs one connection loop around it, serve_connection(),
+// over a pair of file descriptors: --stdio runs it on fds 0 and 1, and
+// serve_unix() runs it on each accepted Unix-domain socket.  The loop
+// preserves REQUEST ORDER per connection while letting requests execute
+// concurrently: up to ServeOptions::max_inflight lines are read ahead
+// onto the worker pool, and replies are written strictly FIFO as soon
+// as the oldest one is ready.
 //
 // Robustness contract (the fault-injection suite pins all of it):
 //   - no request, however malformed, kills the process — every failure
@@ -37,11 +37,11 @@
 // PR 4/5 metrics survives untouched.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -108,16 +108,8 @@ struct ServeCounters {
   std::uint64_t requests = 0;
   std::uint64_t ok = 0;
   std::uint64_t errors = 0;
-  std::uint64_t evaluate = 0;
-  std::uint64_t dimension = 0;
-  std::uint64_t pareto = 0;
-  std::uint64_t scenario = 0;
-  std::uint64_t fuzz_replay = 0;
-  std::uint64_t stats = 0;
-  std::uint64_t shutdown = 0;
-  std::uint64_t trace = 0;
-  std::uint64_t metrics = 0;
-  std::uint64_t dump = 0;
+  /// Parsed requests per op, indexed by Op.
+  std::array<std::uint64_t, kNumOps> by_op{};
 };
 
 class Server {
@@ -135,21 +127,30 @@ class Server {
   /// content), which is what the byte-identity suites pin.
   [[nodiscard]] Reply handle_line(const std::string& line);
 
-  /// NDJSON loop over a stream pair: reads lines from `in`, writes one
-  /// reply line per request to `out` in request order, pipelining up to
-  /// max_inflight requests onto the worker pool.  Returns 0 on a clean
-  /// drain (EOF or shutdown op), and stops reading — but drains what is
-  /// in flight — when a shutdown reply reaches the front of the queue.
-  int serve_stream(std::istream& in, std::ostream& out);
+  /// One NDJSON connection: reads request lines from `in_fd` and
+  /// writes one reply line per request to `out_fd`, in request order,
+  /// pipelining up to max_inflight requests onto the worker pool.
+  ///   - A line longer than max_request_bytes is answered
+  ///     payload_too_large as soon as that many bytes have arrived; the
+  ///     rest of it is dropped as it comes in.
+  ///   - A last line without a newline is answered at end of input.
+  ///   - A quiet connection notices the drain (a shutdown op, or
+  ///     SIGTERM/SIGINT under serve_unix) within one 50 ms poll.
+  /// Reading stops at end of input, at the drain, once a shutdown reply
+  /// is written or once a reply cannot be written; requests already in
+  /// flight still finish.  Returns 0, or 1 when a reply could not be
+  /// written.  Neither fd is closed.
+  int serve_connection(int in_fd, int out_fd);
 
-  /// Unix-domain-socket accept loop at `path` (unlinked+rebound on
-  /// start).  Each connection runs the serve_stream discipline on its
-  /// own thread.  Returns 0 after a graceful drain triggered by either
-  /// a shutdown op or SIGTERM/SIGINT; non-zero only for socket setup
-  /// failures.  `on_ready`, when set, runs once the socket is
-  /// listening (the smoke harness synchronizes on it).
-  int serve_unix(const std::string& path,
-                 const std::function<void()>& on_ready = nullptr);
+  /// Unix-domain-socket accept loop at `path` (unlinked and rebound on
+  /// start).  Each connection runs serve_connection() on its own thread.
+  /// Returns after a graceful drain triggered by either a shutdown op
+  /// or SIGTERM/SIGINT.  Throws std::system_error, naming the path and
+  /// the reason, when the socket cannot be set up.  `on_ready`, when
+  /// set, runs once the socket is listening (the smoke harness
+  /// synchronizes on it).
+  void serve_unix(const std::string& path,
+                  const std::function<void()>& on_ready = nullptr);
 
   [[nodiscard]] ServeCounters counters() const;
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
@@ -172,21 +173,6 @@ class Server {
   }
 
  private:
-  /// What one intake poll produced.  kIdle lets a transport with a
-  /// bounded read (the Unix socket) hand control back so finished
-  /// replies flush while the client is quiet — a blocking transport
-  /// (serve_stream) simply never returns it.
-  enum class ReadResult { kLine, kIdle, kEof };
-
-  /// The generic bounded-pipelining pump behind serve_stream/serve_unix:
-  /// `next_line` yields the next request line, `write_line` emits one
-  /// reply line.  Completed replies are written (strictly FIFO) as soon
-  /// as they are ready, not only when the pipeline fills or the input
-  /// ends.  Returns true when the loop ended because of a shutdown op
-  /// (vs. plain EOF).
-  bool pump(const std::function<ReadResult(std::string&)>& next_line,
-            const std::function<void(const std::string&)>& write_line);
-
   /// Per-op live-plane state: windowed request/error/SLO-breach rates
   /// and a windowed latency sketch.  windows_[kNumOps] is the all-ops
   /// aggregate.
@@ -210,6 +196,11 @@ class Server {
                                   std::uint64_t enqueued_at_us);
   [[nodiscard]] Reply execute(const Request& request, RequestTrace& trace,
                               bool& ok, ErrorCode& code);
+  /// The opening of every model-backed op: the cached compile of the
+  /// request's spec (a "cache_lookup" span) and, when the request names
+  /// a solver, the check that the registry has it.
+  [[nodiscard]] std::shared_ptr<const CachedModel> lookup_model(
+      const Request& request, RequestTrace& trace);
   [[nodiscard]] std::string run_evaluate(const Request& request,
                                          RequestTrace& trace);
   [[nodiscard]] std::string run_dimension(const Request& request,
@@ -265,15 +256,9 @@ class Server {
   std::vector<std::unique_ptr<OpWindow>> windows_;  // kNumOps + 1 entries
   std::atomic<std::uint64_t> next_seq_{0};
 
-  obs::Histogram latency_evaluate_;
-  obs::Histogram latency_dimension_;
-  obs::Histogram latency_pareto_;
-  obs::Histogram latency_scenario_;
-  obs::Histogram latency_fuzz_replay_;
-  obs::Histogram latency_stats_;
-  obs::Histogram latency_trace_;
-  obs::Histogram latency_metrics_;
-  obs::Histogram latency_dump_;
+  /// windim.serve.latency_us.<op> per op, indexed by Op; shutdown's
+  /// slot is a default handle, which records nothing.
+  std::array<obs::Histogram, kNumOps> latency_;
 };
 
 }  // namespace windim::serve

@@ -31,6 +31,7 @@
 
 #include "obs/json.h"
 #include "serve/server.h"
+#include "serve_socketpair.h"
 
 namespace windim {
 namespace {
@@ -148,11 +149,10 @@ TEST(ServeConcurrency, PipelinedStreamPreservesRequestOrder) {
   for (const std::string& line : lines) input += line + "\n";
 
   serve::Server server(options_with(4));
-  std::istringstream in(input);
-  std::ostringstream out;
-  EXPECT_EQ(server.serve_stream(in, out), 0);
+  const test::Session session = test::serve_socketpair(server, input);
+  EXPECT_EQ(session.rc, 0);
 
-  std::istringstream replies(out.str());
+  std::istringstream replies(session.replies);
   std::string line;
   std::size_t index = 0;
   while (std::getline(replies, line)) {
@@ -176,10 +176,8 @@ TEST(ServeConcurrency, ConcurrentStreamsShareOneServer) {
       conns.emplace_back([c, &lines, &outputs, &server]() {
         std::string input;
         for (const std::string& line : lines) input += line + "\n";
-        std::istringstream in(input);
-        std::ostringstream out;
-        server.serve_stream(in, out);
-        outputs[static_cast<std::size_t>(c)] = out.str();
+        outputs[static_cast<std::size_t>(c)] =
+            test::serve_socketpair(server, input).replies;
       });
     }
     for (std::thread& t : conns) t.join();
@@ -225,13 +223,12 @@ TEST(ServeConcurrency, SolverThreadsRequestsSpawnNoThreads) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   });
-  std::istringstream in(input);
-  std::ostringstream out;
-  EXPECT_EQ(server.serve_stream(in, out), 0);
+  const test::Session session = test::serve_socketpair(server, input);
+  EXPECT_EQ(session.rc, 0);
   done = true;
   sampler.join();
 
-  const std::string replies = out.str();
+  const std::string& replies = session.replies;
   int ok = 0;
   for (std::size_t at = replies.find("\"ok\":true"); at != std::string::npos;
        at = replies.find("\"ok\":true", at + 1)) {
@@ -239,7 +236,7 @@ TEST(ServeConcurrency, SolverThreadsRequestsSpawnNoThreads) {
   }
   EXPECT_EQ(ok, kRequests);
   // Request workers + the hardware-sized sweep pool + the sampler, plus
-  // a little slack for runtime helpers.
+  // a little slack for runtime helpers (the socketpair client is one).
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   constexpr std::size_t kSlack = 4;
   EXPECT_LE(peak, before + kWorkers + hw + 1 + kSlack);
@@ -266,12 +263,11 @@ TEST(ServeConcurrency, FinishedConnectionsAreReaped) {
   std::promise<void> ready;
   std::thread daemon([&] {
     bool listening = false;
-    const int rc = server.serve_unix(path, [&] {
+    EXPECT_NO_THROW(server.serve_unix(path, [&] {
       listening = true;
       ready.set_value();
-    });
+    }));
     if (!listening) ready.set_value();
-    EXPECT_EQ(rc, 0);
   });
   ready.get_future().wait();
   const std::size_t before = live_mappings();

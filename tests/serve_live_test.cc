@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "obs/window.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve_socketpair.h"
 
 namespace windim {
 namespace {
@@ -190,9 +190,7 @@ TEST(ServeLiveTest, TraceLimitLeavesTheRestBuffered) {
 TEST(ServeLiveTest, QueueSpanCoversTransportEnqueueGap) {
   obs::SteppingWindowClock clock(10);
   serve::Server server(live_options(&clock));
-  std::istringstream in(evaluate_line(1) + "\n");
-  std::ostringstream out;
-  EXPECT_EQ(server.serve_stream(in, out), 0);
+  EXPECT_EQ(test::serve_socketpair(server, evaluate_line(1) + "\n").rc, 0);
 
   const std::vector<serve::RequestTrace> traces = server.traces().drain();
   ASSERT_EQ(traces.size(), 1u);
@@ -404,9 +402,9 @@ TEST(ServeLiveTest, StatsCountsTheIntrospectionOps) {
   (void)server.handle_line("{\"op\":\"metrics\"}");
   (void)server.handle_line("{\"op\":\"dump\"}");
   const serve::ServeCounters c = server.counters();
-  EXPECT_EQ(c.trace, 1u);
-  EXPECT_EQ(c.metrics, 1u);
-  EXPECT_EQ(c.dump, 1u);
+  EXPECT_EQ(c.by_op[static_cast<std::size_t>(serve::Op::kTrace)], 1u);
+  EXPECT_EQ(c.by_op[static_cast<std::size_t>(serve::Op::kMetrics)], 1u);
+  EXPECT_EQ(c.by_op[static_cast<std::size_t>(serve::Op::kDump)], 1u);
   EXPECT_EQ(c.requests, 3u);
   EXPECT_EQ(c.errors, 0u);
 }

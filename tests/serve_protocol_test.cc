@@ -1,7 +1,7 @@
 // Golden protocol conformance + fault injection for `windim serve`.
 //
-// Drives the daemon through its --stdio discipline (Server::handle_line
-// and serve_stream): every request type produces the documented reply
+// Drives the daemon through Server::handle_line and its connection loop
+// (serve_connection): every request type produces the documented reply
 // envelope, and every malformed input — broken JSON, unknown ops and
 // fields, duplicate keys, bad values, oversized payloads, truncated
 // input, expired deadlines — produces a TYPED error reply, with the
@@ -16,6 +16,7 @@
 #include "obs/json.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve_socketpair.h"
 #include "verify/corpus.h"
 #include "verify/gen.h"
 
@@ -252,14 +253,13 @@ TEST(ServeProtocol, ExpiredDeadlineYieldsDeadlineExceeded) {
 TEST(ServeProtocol, StreamHandlesTruncatedInputAndStaysOrdered) {
   serve::Server server(serial_options());
   // Last line is truncated mid-object (no closing brace, no newline):
-  // getline still delivers it, and it must produce a parse_error reply
+  // the loop still answers it at end of input, with a parse_error reply
   // rather than wedging or killing the loop.
-  std::istringstream in(evaluate_line(1) + "\n" +
-                        "{\"op\":\"stats\",\"id\":2}\n" +
-                        "{\"op\":\"evaluate\",\"spec\":\"tru");
-  std::ostringstream out;
-  EXPECT_EQ(server.serve_stream(in, out), 0);
-  std::istringstream replies(out.str());
+  const test::Session session = test::serve_socketpair(
+      server, evaluate_line(1) + "\n" + "{\"op\":\"stats\",\"id\":2}\n" +
+                  "{\"op\":\"evaluate\",\"spec\":\"tru");
+  EXPECT_EQ(session.rc, 0);
+  std::istringstream replies(session.replies);
   std::string line;
   std::vector<std::string> lines;
   while (std::getline(replies, line)) lines.push_back(line);
@@ -355,11 +355,10 @@ TEST(ServeProtocol, ParetoFaultsAreTypedErrors) {
 
 TEST(ServeProtocol, ShutdownStopsIntakeAndLaterRequestsAreRefused) {
   serve::Server server(serial_options());
-  std::istringstream in("{\"op\":\"shutdown\",\"id\":1}\n" +
-                        evaluate_line(2) + "\n");
-  std::ostringstream out;
-  EXPECT_EQ(server.serve_stream(in, out), 0);
-  std::istringstream replies(out.str());
+  const test::Session session = test::serve_socketpair(
+      server, "{\"op\":\"shutdown\",\"id\":1}\n" + evaluate_line(2) + "\n");
+  EXPECT_EQ(session.rc, 0);
+  std::istringstream replies(session.replies);
   std::string first;
   ASSERT_TRUE(std::getline(replies, first));
   EXPECT_TRUE(parse_reply(first).find("ok")->boolean);
