@@ -1,37 +1,50 @@
-// Perf-baseline regression harness for the bench_perf_* binaries.
+// The shared harness of the bench_perf_* binaries and their baseline
+// check.
 //
-// A baseline is simply a committed copy of a benchmark's --json output
-// (bench/baselines/BENCH_perf.json); a later run compares its fresh
-// JSON against that file metric by metric and fails on regression.
-// Noise handling is layered:
+// Every bench_perf_* binary takes the same four flags (--reps=N,
+// --json=PATH, --baseline-in=PATH, --check), stamps its JSON result
+// with the machine's fingerprint (nproc, CPU model, compiler, build
+// type) and, with --check, compares that result metric by metric
+// against a committed baseline: bench/baselines/BENCH_perf.json, the
+// five benches' --json objects merged into one.  PerfRun does all of
+// that; a bench keeps only its own flags and measurements.
 //
-//   - the benchmark itself reports median-of-reps times, so single-rep
-//     outliers never reach the comparison;
-//   - the DEFAULT check set is scale-free (speedup ratios, overhead
-//     percentages, allocation counts) — valid across machines of
-//     different absolute speed, which is what lets the committed
-//     baseline gate CI runners;
-//   - wall-clock metrics (engine_ms ...) are a separate opt-in set for
-//     same-machine comparisons only;
-//   - each check carries a tolerance (percent of the baseline value)
-//     and a floor that keeps tiny denominators from amplifying noise
-//     into spurious relative regressions.
+// The checks come in two kinds:
 //
-// The comparison is pure string -> report (no filesystem), so tests can
-// drive it with synthetic JSON; load_file is the thin I/O wrapper the
-// benchmarks use.
+//   - scale-free metrics (overhead percentages, allocation counts,
+//     identity and pass flags) hold on any machine and are always
+//     compared;
+//   - per-unit costs (µs per evaluation, ns per visited cell per sweep)
+//     are absolute, so they are compared only when this run's
+//     fingerprint equals the baseline's and are reported `skipped`
+//     otherwise.  Each of them also has a hard ceiling inside its bench
+//     that holds on any host.
+//
+// Noise handling: the benches report times as medians over reps and
+// per-unit costs as the fastest call of a window (fastest_ms), and each
+// check carries a tolerance (percent of the baseline value) and a floor
+// that keeps tiny denominators from amplifying noise into spurious
+// relative regressions.
+//
+// compare_baseline is pure string -> report (no filesystem), so tests
+// drive it with synthetic JSON.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "obs/json.h"
 
 namespace windim::bench {
 
 /// Which direction of change is a regression.
 enum class Direction {
-  kHigherIsBetter,  // speedups: regression = current below baseline
-  kLowerIsBetter,   // times, overheads, counts: regression = above
+  kHigherIsBetter,  // flags: regression = current below baseline
+  kLowerIsBetter,   // costs, overheads, counts: regression = above
 };
 
 struct CheckSpec {
@@ -43,6 +56,9 @@ struct CheckSpec {
   /// comparison, so near-zero baselines (a 0.03% guard overhead) do not
   /// turn measurement noise into huge relative "regressions".
   double floor = 0.0;
+  /// An absolute cost of this machine: compared only when the current
+  /// and baseline fingerprints are equal.
+  bool per_unit = false;
 };
 
 struct MetricComparison {
@@ -53,66 +69,56 @@ struct MetricComparison {
   /// moved in the regression direction).
   double drift_pct = 0.0;
   bool ok = true;
+  /// A per-unit row under a different fingerprint: not compared.
+  bool skipped = false;
 };
 
 struct BaselineReport {
   std::vector<MetricComparison> comparisons;
-  /// Structural problems: unreadable/malformed JSON, missing metrics.
-  /// Any error fails the report.
+  /// Structural problems: unreadable/malformed JSON, a missing metric or
+  /// fingerprint.  Any error fails the report.
   std::vector<std::string> errors;
+  /// The two fingerprints, one line each ("" when absent).
+  std::string baseline_fingerprint;
+  std::string current_fingerprint;
 
   [[nodiscard]] bool ok() const;
   /// Human-readable summary, one line per comparison plus errors.
   [[nodiscard]] std::string render() const;
 };
 
-/// The scale-free default checks for bench_perf_dimension --check:
-/// speedup_vs_pr1, obs_disabled_overhead_pct,
-/// warm_workspace_allocations (exact), identical_windows and pass
-/// (exact).  `tolerance_pct` applies to the ratio metrics.
-[[nodiscard]] std::vector<CheckSpec> perf_dimension_checks(
-    double tolerance_pct = 25.0);
+/// bench_perf_dimension: obs_disabled_overhead_pct (floored at 0.5 pp),
+/// warm_workspace_allocations, identical_windows and pass (exact), and
+/// the per-unit us_per_evaluation.
+[[nodiscard]] std::vector<CheckSpec> perf_dimension_checks();
 
-/// The scale-free default checks for bench_perf_large_model --check:
-/// large_speedup_10k / large_speedup_1k (ratio metrics under
-/// `tolerance_pct`), large_warm_workspace_allocations,
-/// large_identical_windows and large_pass (exact).  The keys are
-/// prefixed so both benchmarks can share one merged baseline object.
-[[nodiscard]] std::vector<CheckSpec> perf_large_model_checks(
-    double tolerance_pct = 25.0);
+/// bench_perf_large_model: large_warm_workspace_allocations,
+/// large_bit_identical and large_pass (exact), and the per-unit
+/// large_ns_per_visited_cell_{1k,10k}.  The keys are prefixed so the
+/// five benches share one merged baseline object.
+[[nodiscard]] std::vector<CheckSpec> perf_large_model_checks();
 
-/// The scale-free default checks for bench_perf_serve --check: the
-/// cache hit rate (ratio metric under `tolerance_pct`, floored at 0.1)
-/// plus the exact serve_error_free and serve_pass gates — the absolute
-/// requests/second figure is machine-bound and gated by the benchmark
-/// itself (>= 1000 req/s), not by the committed baseline.
-[[nodiscard]] std::vector<CheckSpec> perf_serve_checks(
-    double tolerance_pct = 25.0);
+/// bench_perf_serve: the cache hit rate (floored at 0.1), the live
+/// plane's overhead percentage (floored at 2.0) and the exact
+/// serve_error_free and serve_pass gates.  Requests per second are
+/// machine-bound and gated by the bench itself (>= 1000 req/s).
+[[nodiscard]] std::vector<CheckSpec> perf_serve_checks();
 
-/// The scale-free default checks for bench_perf_pareto --check: the
-/// front size, repeat-scan determinism, seed reproducibility and
-/// prune/optimum-identity gates are exact; the pruned lattice fraction
-/// is a ratio metric under `tolerance_pct` (floored at 0.05 so a small
-/// absolute wobble on a thin prune cannot explode relatively).
-[[nodiscard]] std::vector<CheckSpec> perf_pareto_checks(
-    double tolerance_pct = 25.0);
+/// bench_perf_pareto: the front size, repeat-scan determinism, seed
+/// reproducibility and prune-identity gates are exact; the pruned
+/// lattice fraction drifts within tolerance (floored at 0.05).
+[[nodiscard]] std::vector<CheckSpec> perf_pareto_checks();
 
-/// The scale-free default checks for bench_perf_scenario --check: the
-/// cell count, worker-count determinism and seed reproducibility gates
-/// are exact; the stationary/static power ratio vs the analytic optimum
-/// is a ratio metric under `tolerance_pct` (floored at 0.5 — it sits
-/// near 1.0 by construction).
-[[nodiscard]] std::vector<CheckSpec> perf_scenario_checks(
-    double tolerance_pct = 25.0);
-
-/// Same-machine wall-clock checks (opt-in): serial_cold_ms,
-/// pr1_baseline_ms, engine_ms, instrumented_ms.
-[[nodiscard]] std::vector<CheckSpec> wall_clock_checks(
-    double tolerance_pct = 25.0);
+/// bench_perf_scenario: the cell count, worker-count determinism and
+/// seed reproducibility gates are exact; the stationary/static power
+/// ratio vs the analytic optimum drifts within tolerance (floored at
+/// 0.5 — it sits near 1.0 by construction).
+[[nodiscard]] std::vector<CheckSpec> perf_scenario_checks();
 
 /// Compares one benchmark JSON object against a baseline JSON object.
-/// Booleans count as 1/0 so pass/identical_windows can be checked like
-/// any numeric metric.
+/// Booleans count as 1/0 so pass flags are checked like any numeric
+/// metric.  Both objects must carry a fingerprint; per-unit checks are
+/// compared only when the two fingerprints are equal.
 [[nodiscard]] BaselineReport compare_baseline(
     const std::string& baseline_json, const std::string& current_json,
     const std::vector<CheckSpec>& checks);
@@ -124,5 +130,83 @@ struct BaselineReport {
 /// Writes `body` (plus a trailing newline when missing) to `path`.
 [[nodiscard]] bool save_file(const std::string& path,
                              const std::string& body);
+
+/// Median wall time, in milliseconds, of `reps` calls of `run`.
+template <typename Run>
+double median_ms(int reps, const Run& run) {
+  std::vector<double> times;
+  times.reserve(static_cast<std::size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    run();
+    const auto t1 = std::chrono::steady_clock::now();
+    times.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
+
+/// The fastest call of each of `runs`, in milliseconds, over a window
+/// of at least one second.  The window is made of rounds, each on the
+/// next CPU the thread may run on, and a round is a 100 ms slice of
+/// back-to-back calls of each run in turn, so every call but a slice's
+/// first finds its data in cache.  The per-unit costs are gated on it.
+/// Other tenants of a shared host slow one core at a time by ~1.5x for
+/// seconds: on a 4-vCPU host the median of a short run moved by up to
+/// 60% from run to run, and a one-second window on one core still read
+/// 30-45% slow in about one run in four, while in a trace rotating over
+/// the four cores every 100 ms some core ran at the quiet cost in
+/// every 400 ms.
+[[nodiscard]] std::vector<double> fastest_ms(
+    const std::vector<std::function<void()>>& runs);
+
+/// One run of a bench_perf_* binary: its flags, its JSON result and its
+/// baseline check.
+class PerfRun {
+ public:
+  /// A bench's own `--name=VALUE` flag: a count (an integer >= 1) or a
+  /// path, written through the pointer when given.
+  struct Flag {
+    Flag(const char* name, int* count) : name(name), count(count) {}
+    Flag(const char* name, std::string* path) : name(name), path(path) {}
+    const char* name;  // "--sweeps"
+    int* count = nullptr;
+    std::string* path = nullptr;
+  };
+
+  /// `benchmark` names the bench in its JSON ("perf_dimension");
+  /// `default_reps` is its rep count without --reps.
+  PerfRun(std::string benchmark, int default_reps);
+
+  /// Parses --reps=N, --json=PATH, --baseline-in=PATH, --check and the
+  /// bench's `own` flags.  Returns nullopt to run the bench, or 2 after
+  /// printing the problem: an unknown flag, a malformed value (naming
+  /// the flag) or --check without --baseline-in.
+  [[nodiscard]] std::optional<int> parse(int argc, char** argv,
+                                         const std::vector<Flag>& own = {});
+
+  [[nodiscard]] int reps() const noexcept { return reps_; }
+
+  /// The result object, already holding "benchmark" and this machine's
+  /// "fingerprint" (nproc, cpu_model from the `model name` line of
+  /// /proc/cpuinfo, compiler as __VERSION__, build_type as the CMake
+  /// configuration); the bench adds its measurements.
+  [[nodiscard]] obs::JsonWriter& json() noexcept { return json_; }
+
+  /// Closes the result, prints the fingerprint, writes --json and, with
+  /// --check, compares against --baseline-in under `checks` and prints
+  /// the report.  Returns the exit code: 0 when `pass` and the check
+  /// hold, 1 otherwise.
+  [[nodiscard]] int finish(bool pass, const std::vector<CheckSpec>& checks);
+
+ private:
+  std::string benchmark_;
+  int reps_;
+  std::string json_path_;
+  std::string baseline_in_;
+  bool check_ = false;
+  obs::JsonWriter json_;
+};
 
 }  // namespace windim::bench

@@ -22,15 +22,10 @@
 //   - the pruned exhaustive sweep prunes a nonzero part of the lattice
 //     and returns the unpruned optimum.
 //
-// --json=PATH writes the measurements with pareto_-prefixed keys so the
-// result merges into the shared bench/baselines/BENCH_perf.json;
-// --check compares against --baseline-in via perf_pareto_checks()
-// (scale-free gates only).
-#include <algorithm>
-#include <chrono>
+// The result's keys are pareto_-prefixed so it merges into the shared
+// bench/baselines/BENCH_perf.json; the flags and the baseline check
+// (perf_pareto_checks) are bench/baseline.h's.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,58 +50,16 @@ core::ParetoFront run_scan(const core::WindowProblem& problem) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int reps = 5;
-  std::string json_path;
-  std::string baseline_in;
-  std::string baseline_out;
-  bool check = false;
-  double tolerance_pct = 25.0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--reps=", 7) == 0) {
-      reps = std::atoi(arg + 7);
-      if (reps < 1) reps = 1;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strncmp(arg, "--baseline-in=", 14) == 0) {
-      baseline_in = arg + 14;
-    } else if (std::strncmp(arg, "--baseline-out=", 15) == 0) {
-      baseline_out = arg + 15;
-    } else if (std::strcmp(arg, "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(arg, "--tolerance-pct=", 16) == 0) {
-      tolerance_pct = std::atof(arg + 16);
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: bench_perf_pareto [--reps=N] [--json=PATH]\n"
-          "           [--baseline-in=PATH] [--baseline-out=PATH] [--check]\n"
-          "           [--tolerance-pct=P]\n"
-          "--check compares the fresh measurements against the\n"
-          "--baseline-in JSON (scale-free pareto_ gates) and fails on any\n"
-          "regression beyond the tolerance (default 25%%).\n");
-      return 2;
-    }
-  }
-  if (check && baseline_in.empty()) {
-    std::fprintf(stderr, "error: --check requires --baseline-in=PATH\n");
-    return 2;
-  }
+  bench::PerfRun run("perf_pareto", 5);
+  if (const std::optional<int> rc = run.parse(argc, argv)) return *rc;
+  const int reps = run.reps();
 
   const core::WindowProblem problem = canadian_problem();
 
   // Timed scans.
-  std::vector<double> scan_ms;
   core::ParetoFront front;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    front = run_scan(problem);
-    const auto t1 = std::chrono::steady_clock::now();
-    scan_ms.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  std::sort(scan_ms.begin(), scan_ms.end());
-  const double median_scan_ms = scan_ms[scan_ms.size() / 2];
+  const double median_scan_ms =
+      bench::median_ms(reps, [&] { front = run_scan(problem); });
 
   // Determinism: a fresh scan serializes to the same bytes.
   const bool deterministic =
@@ -187,60 +140,30 @@ int main(int argc, char** argv) {
   }
   if (pass) std::printf("PASS\n");
 
-  obs::JsonWriter w;
-  {
-    w.begin_object();
-    w.key("benchmark");
-    w.value("perf_pareto");
-    w.key("pareto_reps");
-    w.value(reps);
-    w.key("pareto_scan_ms");
-    w.value(median_scan_ms);
-    w.key("pareto_front_points");
-    w.value(static_cast<std::uint64_t>(front.points.size()));
-    w.key("pareto_runs");
-    w.value(static_cast<std::uint64_t>(front.runs));
-    w.key("pareto_infeasible_runs");
-    w.value(static_cast<std::uint64_t>(front.infeasible_runs));
-    w.key("pareto_deterministic");
-    w.value(deterministic);
-    w.key("pareto_reproducible");
-    w.value(reproducible);
-    w.key("pareto_prune_lattice");
-    w.value(static_cast<std::uint64_t>(lattice));
-    w.key("pareto_prune_pruned");
-    w.value(static_cast<std::uint64_t>(pruned.pruned));
-    w.key("pareto_prune_fraction");
-    w.value(prune_fraction);
-    w.key("pareto_prune_identical");
-    w.value(prune_identical);
-    w.key("pareto_pass");
-    w.value(pass);
-    w.end_object();
-  }
-  const std::string json = w.str();
-
-  if (!json_path.empty() && !bench::save_file(json_path, json)) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  if (!baseline_out.empty() && !bench::save_file(baseline_out, json)) {
-    std::fprintf(stderr, "error: cannot write %s\n", baseline_out.c_str());
-    return 1;
-  }
-
-  if (check) {
-    const std::optional<std::string> baseline = bench::load_file(baseline_in);
-    if (!baseline.has_value()) {
-      std::fprintf(stderr, "error: cannot read baseline %s\n",
-                   baseline_in.c_str());
-      return 1;
-    }
-    const bench::BaselineReport report = bench::compare_baseline(
-        *baseline, json, bench::perf_pareto_checks(tolerance_pct));
-    std::printf("\nbaseline check vs %s (tolerance %.0f%%):\n%s",
-                baseline_in.c_str(), tolerance_pct, report.render().c_str());
-    if (!report.ok()) pass = false;
-  }
-  return pass ? 0 : 1;
+  obs::JsonWriter& w = run.json();
+  w.key("pareto_reps");
+  w.value(reps);
+  w.key("pareto_scan_ms");
+  w.value(median_scan_ms);
+  w.key("pareto_front_points");
+  w.value(static_cast<std::uint64_t>(front.points.size()));
+  w.key("pareto_runs");
+  w.value(static_cast<std::uint64_t>(front.runs));
+  w.key("pareto_infeasible_runs");
+  w.value(static_cast<std::uint64_t>(front.infeasible_runs));
+  w.key("pareto_deterministic");
+  w.value(deterministic);
+  w.key("pareto_reproducible");
+  w.value(reproducible);
+  w.key("pareto_prune_lattice");
+  w.value(static_cast<std::uint64_t>(lattice));
+  w.key("pareto_prune_pruned");
+  w.value(static_cast<std::uint64_t>(pruned.pruned));
+  w.key("pareto_prune_fraction");
+  w.value(prune_fraction);
+  w.key("pareto_prune_identical");
+  w.value(prune_identical);
+  w.key("pareto_pass");
+  w.value(pass);
+  return run.finish(pass, bench::perf_pareto_checks());
 }

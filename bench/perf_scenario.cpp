@@ -21,16 +21,11 @@
 //   - the stationary/static power lands within 50% of the analytic
 //     optimum (the tight envelope lives in sim_vs_exact_test.cc).
 //
-// --json=PATH writes the measurements with scenario_-prefixed keys so
-// the result merges into the shared bench/baselines/BENCH_perf.json;
-// --check compares against --baseline-in via perf_scenario_checks()
-// (scale-free gates only).
-#include <algorithm>
-#include <chrono>
+// The result's keys are scenario_-prefixed so it merges into the shared
+// bench/baselines/BENCH_perf.json; the flags and the baseline check
+// (perf_scenario_checks) are bench/baseline.h's.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,59 +53,18 @@ control::MatrixOptions grid_options(int jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int reps = 3;
-  std::string json_path;
-  std::string baseline_in;
-  std::string baseline_out;
-  bool check = false;
-  double tolerance_pct = 25.0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--reps=", 7) == 0) {
-      reps = std::atoi(arg + 7);
-      if (reps < 1) reps = 1;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strncmp(arg, "--baseline-in=", 14) == 0) {
-      baseline_in = arg + 14;
-    } else if (std::strncmp(arg, "--baseline-out=", 15) == 0) {
-      baseline_out = arg + 15;
-    } else if (std::strcmp(arg, "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(arg, "--tolerance-pct=", 16) == 0) {
-      tolerance_pct = std::atof(arg + 16);
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: bench_perf_scenario [--reps=N] [--json=PATH]\n"
-          "           [--baseline-in=PATH] [--baseline-out=PATH] [--check]\n"
-          "           [--tolerance-pct=P]\n"
-          "--check compares the fresh measurements against the\n"
-          "--baseline-in JSON (scale-free scenario_ gates) and fails on\n"
-          "any regression beyond the tolerance (default 25%%).\n");
-      return 2;
-    }
-  }
-  if (check && baseline_in.empty()) {
-    std::fprintf(stderr, "error: --check requires --baseline-in=PATH\n");
-    return 2;
-  }
+  bench::PerfRun run("perf_scenario", 3);
+  if (const std::optional<int> rc = run.parse(argc, argv)) return *rc;
+  const int reps = run.reps();
 
   const net::Topology topo = net::canada_topology();
   const auto classes = net::two_class_traffic(25.0, 25.0);
 
   // Timed full grids on the worker pool (the production configuration).
-  std::vector<double> grid_ms;
   control::MatrixResult matrix;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
+  const double median_grid_ms = bench::median_ms(reps, [&] {
     matrix = control::run_matrix(topo, classes, grid_options(8));
-    const auto t1 = std::chrono::steady_clock::now();
-    grid_ms.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  std::sort(grid_ms.begin(), grid_ms.end());
-  const double median_grid_ms = grid_ms[grid_ms.size() / 2];
+  });
 
   const std::size_t expected_cells =
       control::policy_names().size() * control::scenario_names().size();
@@ -184,50 +138,20 @@ int main(int argc, char** argv) {
   }
   if (pass) std::printf("PASS\n");
 
-  obs::JsonWriter w;
-  {
-    w.begin_object();
-    w.key("benchmark");
-    w.value("perf_scenario");
-    w.key("scenario_reps");
-    w.value(reps);
-    w.key("scenario_grid_ms");
-    w.value(median_grid_ms);
-    w.key("scenario_cells");
-    w.value(static_cast<std::uint64_t>(matrix.cells.size()));
-    w.key("scenario_deterministic");
-    w.value(deterministic);
-    w.key("scenario_reproducible");
-    w.value(reproducible && seed_sensitive);
-    w.key("scenario_stationary_power_ratio");
-    w.value(stationary_power_ratio);
-    w.key("scenario_pass");
-    w.value(pass);
-    w.end_object();
-  }
-  const std::string json = w.str();
-
-  if (!json_path.empty() && !bench::save_file(json_path, json)) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  if (!baseline_out.empty() && !bench::save_file(baseline_out, json)) {
-    std::fprintf(stderr, "error: cannot write %s\n", baseline_out.c_str());
-    return 1;
-  }
-
-  if (check) {
-    const std::optional<std::string> baseline = bench::load_file(baseline_in);
-    if (!baseline.has_value()) {
-      std::fprintf(stderr, "error: cannot read baseline %s\n",
-                   baseline_in.c_str());
-      return 1;
-    }
-    const bench::BaselineReport report = bench::compare_baseline(
-        *baseline, json, bench::perf_scenario_checks(tolerance_pct));
-    std::printf("\nbaseline check vs %s (tolerance %.0f%%):\n%s",
-                baseline_in.c_str(), tolerance_pct, report.render().c_str());
-    if (!report.ok()) pass = false;
-  }
-  return pass ? 0 : 1;
+  obs::JsonWriter& w = run.json();
+  w.key("scenario_reps");
+  w.value(reps);
+  w.key("scenario_grid_ms");
+  w.value(median_grid_ms);
+  w.key("scenario_cells");
+  w.value(static_cast<std::uint64_t>(matrix.cells.size()));
+  w.key("scenario_deterministic");
+  w.value(deterministic);
+  w.key("scenario_reproducible");
+  w.value(reproducible && seed_sensitive);
+  w.key("scenario_stationary_power_ratio");
+  w.value(stationary_power_ratio);
+  w.key("scenario_pass");
+  w.value(pass);
+  return run.finish(pass, bench::perf_scenario_checks());
 }

@@ -19,16 +19,14 @@
 //     flight digest — measured directly by live_plane_cost_ns) costs
 //     < 2% of the per-request CPU time.
 //
-// --json=PATH writes the measurements with serve_-prefixed keys so the
-// result merges into the shared bench/baselines/BENCH_perf.json;
-// --check compares against --baseline-in via perf_serve_checks()
-// (scale-free gates only: pass, error_free, cache hit rate).
+// The result's keys are serve_-prefixed so it merges into the shared
+// bench/baselines/BENCH_perf.json; the flags and the baseline check
+// (perf_serve_checks) are bench/baseline.h's.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
@@ -230,50 +228,14 @@ double live_plane_cost_ns() {
 
 int main(int argc, char** argv) {
   int requests = 600;
-  int reps = 5;
   int clients = 4;
-  std::string json_path;
-  std::string baseline_in;
-  std::string baseline_out;
-  bool check = false;
-  double tolerance_pct = 25.0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--requests=", 11) == 0) {
-      requests = std::atoi(arg + 11);
-      if (requests < 10) requests = 10;
-    } else if (std::strncmp(arg, "--reps=", 7) == 0) {
-      reps = std::atoi(arg + 7);
-      if (reps < 1) reps = 1;
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      clients = std::atoi(arg + 10);
-      if (clients < 1) clients = 1;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      json_path = arg + 7;
-    } else if (std::strncmp(arg, "--baseline-in=", 14) == 0) {
-      baseline_in = arg + 14;
-    } else if (std::strncmp(arg, "--baseline-out=", 15) == 0) {
-      baseline_out = arg + 15;
-    } else if (std::strcmp(arg, "--check") == 0) {
-      check = true;
-    } else if (std::strncmp(arg, "--tolerance-pct=", 16) == 0) {
-      tolerance_pct = std::atof(arg + 16);
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: bench_perf_serve [--requests=N] [--reps=N] [--clients=N]\n"
-          "           [--json=PATH] [--baseline-in=PATH]\n"
-          "           [--baseline-out=PATH] [--check] [--tolerance-pct=P]\n"
-          "--check compares the fresh measurements against the\n"
-          "--baseline-in JSON (scale-free serve_ gates) and fails on any\n"
-          "regression beyond the tolerance (default 25%%).\n");
-      return 2;
-    }
+  windim::bench::PerfRun run("perf_serve", 5);
+  if (const std::optional<int> rc = run.parse(
+          argc, argv, {{"--requests", &requests}, {"--clients", &clients}})) {
+    return *rc;
   }
-  if (check && baseline_in.empty()) {
-    std::fprintf(stderr, "error: --check requires --baseline-in=PATH\n");
-    return 2;
-  }
+  const int reps = run.reps();
+  requests = std::max(requests, 10);  // every op of a 10-request block
 
   const std::vector<std::string> lines = request_lines(requests);
 
@@ -351,63 +313,30 @@ int main(int argc, char** argv) {
   }
   if (pass) std::printf("PASS\n");
 
-  windim::obs::JsonWriter w;
-  {
-    w.begin_object();
-    w.key("benchmark");
-    w.value("perf_serve");
-    w.key("serve_requests");
-    w.value(requests);
-    w.key("serve_reps");
-    w.value(reps);
-    w.key("serve_clients");
-    w.value(clients);
-    w.key("serve_requests_per_sec");
-    w.value(requests_per_sec);
-    w.key("serve_window_overhead_pct");
-    w.value(window_overhead_pct);
-    w.key("serve_p50_us");
-    w.value(p50_us);
-    w.key("serve_p99_us");
-    w.value(p99_us);
-    w.key("serve_cache_hit_rate");
-    w.value(hit_rate);
-    w.key("serve_cache_entries");
-    w.value(static_cast<double>(cache.entries));
-    w.key("serve_errors");
-    w.value(static_cast<double>(counters.errors));
-    w.key("serve_error_free");
-    w.value(error_free);
-    w.key("serve_pass");
-    w.value(pass);
-    w.end_object();
-  }
-  const std::string json = w.str();
-
-  if (!json_path.empty() && !windim::bench::save_file(json_path, json)) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  if (!baseline_out.empty() &&
-      !windim::bench::save_file(baseline_out, json)) {
-    std::fprintf(stderr, "error: cannot write %s\n", baseline_out.c_str());
-    return 1;
-  }
-
-  if (check) {
-    const std::optional<std::string> baseline =
-        windim::bench::load_file(baseline_in);
-    if (!baseline.has_value()) {
-      std::fprintf(stderr, "error: cannot read baseline %s\n",
-                   baseline_in.c_str());
-      return 1;
-    }
-    const windim::bench::BaselineReport report =
-        windim::bench::compare_baseline(
-            *baseline, json, windim::bench::perf_serve_checks(tolerance_pct));
-    std::printf("\nbaseline check vs %s (tolerance %.0f%%):\n%s",
-                baseline_in.c_str(), tolerance_pct, report.render().c_str());
-    if (!report.ok()) pass = false;
-  }
-  return pass ? 0 : 1;
+  windim::obs::JsonWriter& w = run.json();
+  w.key("serve_requests");
+  w.value(requests);
+  w.key("serve_reps");
+  w.value(reps);
+  w.key("serve_clients");
+  w.value(clients);
+  w.key("serve_requests_per_sec");
+  w.value(requests_per_sec);
+  w.key("serve_window_overhead_pct");
+  w.value(window_overhead_pct);
+  w.key("serve_p50_us");
+  w.value(p50_us);
+  w.key("serve_p99_us");
+  w.value(p99_us);
+  w.key("serve_cache_hit_rate");
+  w.value(hit_rate);
+  w.key("serve_cache_entries");
+  w.value(static_cast<double>(cache.entries));
+  w.key("serve_errors");
+  w.value(static_cast<double>(counters.errors));
+  w.key("serve_error_free");
+  w.value(error_free);
+  w.key("serve_pass");
+  w.value(pass);
+  return run.finish(pass, windim::bench::perf_serve_checks());
 }

@@ -13,9 +13,11 @@ each binary:
     trace, metrics and dump ops, and a final shutdown; parse_error,
     invalid_request, invalid_spec, unknown_solver, deadline_exceeded
     and payload_too_large, plus requests with two faults, which pin the
-    order the checks run in.  (shutting_down needs a second connection;
-    overflow, budget_exhausted and internal have no cheap deterministic
-    trigger.)
+    order the checks run in; then, after the dump, an evaluate whose
+    population lattice is past the exact solvers' cap (overflow) and a
+    dimension whose deadline expired before its first evaluation
+    (deadline_exceeded).  (shutting_down needs a second connection;
+    budget_exhausted and internal have no cheap deterministic trigger.)
 
 One worker thread makes the session serial, so the stats, trace,
 metrics and dump replies see the same history in both builds.  Those
@@ -111,6 +113,14 @@ def op_lines():
     ]
     cases += [(op, line(op=op, id=40 + i))
               for i, op in enumerate(MEASURED_OPS)]
+    # After the measured ops, so those compare the same history with a
+    # build that answers these two differently.
+    cases += [
+        ("overflow", line(op="evaluate", spec=SPEC, windows=[100000, 100000],
+                          solver="exact-mva", id=20)),
+        ("dimension deadline_exceeded", line(op="dimension", spec=SPEC,
+                                             deadline_ms=1e-6, id=21)),
+    ]
     cases.append(("shutdown", line(op="shutdown", id=50)))
     return cases
 

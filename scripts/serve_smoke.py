@@ -16,7 +16,12 @@ defines:
      the same for an unterminated line sent past the cap in several
      writes: answered before any newline arrives, the rest of the line
      is dropped, and the connection keeps serving;
-  6. an already-expired deadline   -> deadline_exceeded;
+  6. an already-expired deadline   -> deadline_exceeded, for an
+                                      evaluate and for a dimension
+                                      that has no evaluation yet;
+  6b. a population lattice too large for an exact solver (2^64 points,
+     which wraps std::size_t, and 100001^2) -> overflow, and the
+     connection keeps serving;
   7. a pareto scan                 -> ok reply with a sorted non-empty
                                       front and the alpha-fair reference;
   8. a malformed pareto alpha      -> invalid_request naming the lawful
@@ -85,6 +90,7 @@ import time
 
 SPEC = "node A\nnode B\nnode C\nchannel A B 50\nchannel B C 50\n" \
        "class east rate 20 path A B C\nclass west rate 10 path C B\n"
+SPEC4 = SPEC + "class up rate 5 path A B\nclass down rate 5 path C B A\n"
 
 
 def ring_spec(nodes, classes):
@@ -338,6 +344,26 @@ def socket_session(cli):
                                 "windows": [3, 2], "deadline_ms": 1e-6,
                                 "id": 6}),
                      "deadline_exceeded", "expired deadline")
+        expect_error(roundtrip(sock, rfile,
+                               {"op": "dimension", "spec": SPEC,
+                                "deadline_ms": 1e-6, "id": 60}),
+                     "deadline_exceeded", "dimension expired deadline")
+
+        # 6b. Lattices past the exact solvers' cap are refused typed.
+        expect_error(roundtrip(sock, rfile,
+                               {"op": "evaluate", "spec": SPEC4,
+                                "windows": [65535] * 4,
+                                "solver": "exact-mva", "id": 61}),
+                     "overflow", "2^64-point lattice")
+        expect_error(roundtrip(sock, rfile,
+                               {"op": "evaluate", "spec": SPEC,
+                                "windows": [100000, 100000],
+                                "solver": "convolution", "id": 62}),
+                     "overflow", "100001^2-point lattice")
+        r = roundtrip(sock, rfile, {"op": "evaluate", "spec": SPEC,
+                                    "windows": [3, 2], "id": 63})
+        if r.get("ok") is not True or r.get("id") != 63:
+            fail("evaluate after refused lattices: %s" % r)
 
         # 7. Pareto scan: sorted non-empty front + alpha-fair reference.
         r = roundtrip(sock, rfile, {"op": "pareto", "spec": SPEC,

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "qn/error.h"
+#include "util/checked_math.h"
 #include "util/mixed_radix.h"
 
 namespace windim::mva {
@@ -29,9 +31,13 @@ MvaSolution solve_exact_multichain(const qn::NetworkModel& model) {
 
   // total_number[offset * N + n]: total mean customers at station n for
   // the population vector at `offset`.
-  std::vector<double> total_number(indexer.size() *
-                                       static_cast<std::size_t>(num_stations),
-                                   0.0);
+  std::size_t cells = 0;
+  if (util::mul_overflows(indexer.size(),
+                          static_cast<std::size_t>(num_stations), cells)) {
+    throw qn::OverflowError(
+        "solve_exact_multichain: lattice x stations overflows std::size_t");
+  }
+  std::vector<double> total_number(cells, 0.0);
   std::vector<double> time(
       static_cast<std::size_t>(num_stations) * num_chains, 0.0);
   std::vector<double> lambda(static_cast<std::size_t>(num_chains), 0.0);

@@ -552,6 +552,10 @@ std::string Server::run_dimension(const Request& request,
                      "evaluation budget exhausted before the initial point "
                      "completed");
   }
+  if (result.cancelled && result.base_points.empty()) {
+    throw util::CancelledError(
+        "dimension: deadline expired before the initial point completed");
+  }
 
   obs::JsonWriter w;
   begin_reply(w, request.id, Op::kDimension);

@@ -5,7 +5,7 @@
 // start of each solve and only grows until it has seen the largest
 // solve of the run.  After that warm-up, repeated evaluations in
 // pattern_search / dimension_windows perform ZERO heap allocations —
-// the property the perf-smoke CI job asserts through the instrumented
+// the property the perf-baseline CI job asserts through the instrumented
 // counters below.
 //
 // Lifecycle contract:

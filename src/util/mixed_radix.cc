@@ -2,6 +2,10 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
+
+#include "qn/error.h"
+#include "util/checked_math.h"
 
 namespace windim::util {
 
@@ -18,7 +22,12 @@ MixedRadixIndexer::MixedRadixIndexer(PopVector limits)
   // Last coordinate varies fastest: stride[r] = prod_{k > r} (limit_k + 1).
   for (std::size_t r = limits_.size(); r-- > 0;) {
     strides_[r] = size;
-    size *= static_cast<std::size_t>(limits_[r]) + 1;
+    if (mul_overflows(size, static_cast<std::size_t>(limits_[r]) + 1, size) ||
+        size > kMaxLatticePoints) {
+      throw qn::OverflowError(
+          "population lattice exceeds " + std::to_string(kMaxLatticePoints) +
+          " points");
+    }
   }
   size_ = size;
 }

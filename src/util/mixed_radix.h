@@ -15,6 +15,12 @@ namespace windim::util {
 /// A population vector: entry r is the number of customers in chain r.
 using PopVector = std::vector<int>;
 
+/// The most lattice points an indexer spans: the 20,000,000 states of
+/// exact::solve_product_form's default cap.  An exact solver holds at
+/// least one value per point, so a larger lattice is refused before
+/// anything is allocated.
+inline constexpr std::size_t kMaxLatticePoints = 20'000'000;
+
 /// Bijection between population vectors bounded by `limits` and the dense
 /// offset range [0, size()).  Offsets are assigned in row-major order with
 /// the last coordinate varying fastest, matching the iteration order of
@@ -22,7 +28,9 @@ using PopVector = std::vector<int>;
 class MixedRadixIndexer {
  public:
   /// `limits[r]` is the maximum (inclusive) value of coordinate r.
-  /// All limits must be >= 0.  Throws std::invalid_argument otherwise.
+  /// All limits must be >= 0 (std::invalid_argument otherwise), and the
+  /// lattice may span at most kMaxLatticePoints points
+  /// (qn::OverflowError otherwise, also where the product would wrap).
   explicit MixedRadixIndexer(PopVector limits);
 
   /// Zero-dimensional lattice (a single point); lets result structs that

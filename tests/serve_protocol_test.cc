@@ -250,6 +250,52 @@ TEST(ServeProtocol, ExpiredDeadlineYieldsDeadlineExceeded) {
   expect_alive(server);
 }
 
+TEST(ServeProtocol, ExpiredDimensionDeadlineYieldsDeadlineExceeded) {
+  serve::Server server(serial_options());
+  // Expired before the first evaluation: there is no best point to
+  // return, so the search is refused like evaluate, pareto and scenario.
+  const std::string line = "{\"op\":\"dimension\",\"spec\":\"" +
+                           json_escape(kSpec) +
+                           "\",\"deadline_ms\":1e-6,\"id\":4}";
+  const auto reply = parse_reply(server.handle_line(line).json);
+  EXPECT_FALSE(reply.find("ok")->boolean);
+  EXPECT_EQ(error_code(reply), "deadline_exceeded");
+  EXPECT_EQ(reply.find("result"), nullptr);
+  expect_alive(server);
+}
+
+TEST(ServeProtocol, OversizedPopulationLatticeIsOverflowAndTheLoopGoesOn) {
+  serve::Server server(serial_options());
+  const std::string four_class =
+      "node A\nnode B\nnode C\nnode D\n"
+      "channel A B 50\nchannel B C 50\nchannel C D 50\n"
+      "class a rate 5 path A B C D\nclass b rate 5 path D C B A\n"
+      "class c rate 5 path A B\nclass d rate 5 path C D\n";
+  // 65536^4 points wrap std::size_t to 0; 100001^2 points fit in it but
+  // are past the lattice cap.
+  const std::string input =
+      "{\"op\":\"evaluate\",\"spec\":\"" + json_escape(four_class) +
+      "\",\"windows\":[65535,65535,65535,65535],\"solver\":\"convolution\","
+      "\"id\":1}\n"
+      "{\"op\":\"evaluate\",\"spec\":\"" + json_escape(kSpec) +
+      "\",\"windows\":[100000,100000],\"solver\":\"exact-mva\",\"id\":2}\n" +
+      evaluate_line(3) + "\n";
+  const test::Session session = test::serve_socketpair(server, input);
+  EXPECT_EQ(session.rc, 0);
+  std::istringstream replies(session.replies);
+  std::vector<obs::JsonValue> lines;
+  for (std::string line; std::getline(replies, line);) {
+    lines.push_back(parse_reply(line));
+  }
+  ASSERT_EQ(lines.size(), 3u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(error_code(lines[i]), "overflow") << i;
+    EXPECT_EQ(lines[i].find("id")->number, i + 1.0);
+  }
+  EXPECT_TRUE(lines[2].find("ok")->boolean);
+  EXPECT_EQ(lines[2].find("id")->number, 3.0);
+}
+
 TEST(ServeProtocol, StreamHandlesTruncatedInputAndStaysOrdered) {
   serve::Server server(serial_options());
   // Last line is truncated mid-object (no closing brace, no newline):

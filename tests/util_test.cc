@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "qn/error.h"
 #include "util/checked_math.h"
 #include "util/math.h"
 #include "util/mixed_radix.h"
@@ -53,6 +54,18 @@ TEST(MixedRadix, DefaultConstructedIsSinglePoint) {
 
 TEST(MixedRadix, RejectsNegativeLimits) {
   EXPECT_THROW((void)MixedRadixIndexer({2, -1}), std::invalid_argument);
+}
+
+TEST(MixedRadix, RefusesLatticesPastTheCap) {
+  // 65536^4 = 2^64 wraps std::size_t to exactly 0; 100001^2 fits but is
+  // far past the cap.  Both are refused before anything is allocated.
+  EXPECT_THROW((void)MixedRadixIndexer({65535, 65535, 65535, 65535}),
+               qn::OverflowError);
+  EXPECT_THROW((void)MixedRadixIndexer({100000, 100000}), qn::OverflowError);
+  EXPECT_THROW((void)MixedRadixIndexer(PopVector(64, 1)), qn::OverflowError);
+  // 4472^2 = 19,998,784 points is under the cap, 4473^2 is over it.
+  EXPECT_EQ(MixedRadixIndexer({4471, 4471}).size(), 4472u * 4472u);
+  EXPECT_THROW((void)MixedRadixIndexer({4472, 4472}), qn::OverflowError);
 }
 
 TEST(MixedRadix, OffsetAndVectorAtAreInverse) {
