@@ -194,16 +194,16 @@ std::vector<CheckSpec> perf_serve_checks() {
   // error-free.  serve_requests_per_sec / serve_p99_us are recorded in
   // the JSON for trend inspection but are machine-bound, so they carry
   // no check.
-  // serve_window_overhead_pct prices the live observability plane
-  // (sliding windows + trace buffer) against the per-request CPU time;
-  // the benchmark hard-fails at 2%, and the baseline check bounds drift
-  // below that (floored at 2.0 so a near-zero committed overhead cannot
-  // turn scheduler noise into a huge relative regression).
+  // The live observability plane is priced per request, an absolute
+  // cost of this machine; serve_window_overhead_pct divides it by the
+  // per-request CPU time, which shrinks on a faster host, so it keeps
+  // only the bench's own < 2% budget and no baseline row.
   return {
       {"serve_cache_hit_rate", Direction::kHigherIsBetter, 25.0, 0.1},
-      {"serve_window_overhead_pct", Direction::kLowerIsBetter, 25.0, 2.0},
       {"serve_error_free", Direction::kHigherIsBetter, 0.0, 0.0},
       {"serve_pass", Direction::kHigherIsBetter, 0.0, 0.0},
+      {"serve_live_plane_ns_per_request", Direction::kLowerIsBetter, 25.0,
+       0.0, true},
   };
 }
 

@@ -19,7 +19,7 @@
 //   - the timed kernel calls perform ZERO workspace arena allocations.
 //
 // --trace-spans-out=PATH writes a Chrome-trace span file covering the
-// timed phases (the CI perf-large-model job uploads it); the other
+// timed phases (the CI perf job uploads it); the other
 // flags and the baseline check are bench/baseline.h's.
 #include <algorithm>
 #include <cmath>

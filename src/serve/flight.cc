@@ -8,71 +8,42 @@
 
 namespace windim::serve {
 
-TraceBuffer::TraceBuffer(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  ring_.resize(capacity_);
-}
-
-void TraceBuffer::push(RequestTrace trace) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++total_;
-  if (size_ == capacity_) {
-    // Overwrite the oldest: the buffer favors the recent past, exactly
-    // like the flight recorder.
-    ring_[first_] = std::move(trace);
-    first_ = (first_ + 1) % capacity_;
-    ++dropped_;
-    return;
-  }
-  ring_[(first_ + size_) % capacity_] = std::move(trace);
-  ++size_;
-}
-
-std::vector<RequestTrace> TraceBuffer::drain(std::size_t max) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t n = max == 0 ? size_ : std::min(max, size_);
-  std::vector<RequestTrace> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(std::move(ring_[first_]));
-    ring_[first_] = RequestTrace{};
-    first_ = (first_ + 1) % capacity_;
-  }
-  size_ -= n;
-  return out;
-}
-
-std::size_t TraceBuffer::buffered() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return size_;
-}
-
-std::uint64_t TraceBuffer::total() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_;
-}
-
-std::uint64_t TraceBuffer::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)) {
   ring_.resize(capacity_);
 }
 
-void FlightRecorder::record(RequestDigest digest) {
+void FlightRecorder::record(RequestTrace trace) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ring_[total_ % capacity_] = std::move(digest);
+  ring_[total_ % capacity_] = std::move(trace);
   ++total_;
+  // The ring favors the recent past: an undrained record that falls
+  // off its end is dropped from what `trace` can still return.
+  if (total_ - drained_ > capacity_) {
+    ++drained_;
+    ++dropped_;
+  }
 }
 
-std::vector<RequestDigest> FlightRecorder::snapshot() const {
+std::vector<RequestTrace> FlightRecorder::drain(std::size_t max) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t pending = total_ - drained_;
+  const std::uint64_t n =
+      max == 0 ? pending : std::min<std::uint64_t>(max, pending);
+  std::vector<RequestTrace> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    out.push_back(ring_[(drained_ + i) % capacity_]);
+  }
+  drained_ += n;
+  return out;
+}
+
+std::vector<RequestTrace> FlightRecorder::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t n = static_cast<std::size_t>(
       std::min<std::uint64_t>(total_, capacity_));
-  std::vector<RequestDigest> out;
+  std::vector<RequestTrace> out;
   out.reserve(n);
   const std::uint64_t first = total_ - n;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -86,31 +57,41 @@ std::uint64_t FlightRecorder::total() const {
   return total_;
 }
 
-void write_digest_fields(obs::JsonWriter& w, const RequestDigest& d) {
+std::size_t FlightRecorder::buffered() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return static_cast<std::size_t>(total_ - drained_);
+}
+
+std::uint64_t FlightRecorder::dropped() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return dropped_;
+}
+
+void write_digest_fields(obs::JsonWriter& w, const RequestTrace& t) {
   w.key("seq");
-  w.value(d.seq);
+  w.value(t.seq);
   w.key("end_us");
-  w.value(d.end_us);
+  w.value(t.start_us + t.total_us);
   w.key("op");
-  w.value(std::string_view(d.op));
+  w.value(std::string_view(t.op));
   w.key("id");
-  w.value(std::string_view(d.id));
+  w.value(std::string_view(t.id));
   w.key("topology_hash");
-  w.value(d.topology_hash);
+  w.value(t.topology_hash);
   w.key("latency_us");
-  w.value(d.latency_us);
+  w.value(static_cast<double>(t.total_us));
   w.key("ok");
-  w.value(d.ok);
+  w.value(t.outcome == "ok");
   w.key("outcome");
-  w.value(std::string_view(d.outcome));
+  w.value(std::string_view(t.outcome));
 }
 
 std::string FlightRecorder::to_jsonl() const {
   std::string out;
-  for (const RequestDigest& d : snapshot()) {
+  for (const RequestTrace& t : snapshot()) {
     obs::JsonWriter w;
     w.begin_object();
-    write_digest_fields(w, d);
+    write_digest_fields(w, t);
     w.end_object();
     out += std::move(w).str();
     out += '\n';

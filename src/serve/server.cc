@@ -142,6 +142,21 @@ void on_usr1_signal(int) { g_usr1_signal.store(1); }
 constexpr std::uint64_t kWindow10s = 10;
 constexpr std::uint64_t kWindow60s = 60;
 
+/// Requests per second over `latency`, a merged window of `ticks` 1 s
+/// ticks: the latency sketch counts every request once.
+double window_rate(const obs::HistogramSnapshot& latency,
+                   std::uint64_t ticks) {
+  return static_cast<double>(latency.count) / static_cast<double>(ticks);
+}
+
+/// The share of the window's requests that breached their SLO.
+double slo_burn(std::uint64_t breaches,
+                const obs::HistogramSnapshot& latency) {
+  return latency.count == 0 ? 0.0
+                            : static_cast<double>(breaches) /
+                                  static_cast<double>(latency.count);
+}
+
 /// Display order for per-op live readouts (stats `window.by_op` and the
 /// exposition rows): the paper-facing ops first, introspection last.
 constexpr Op kOpDisplayOrder[kNumOps] = {
@@ -221,8 +236,7 @@ Server::Server(ServeOptions options)
       cache_(options.cache_capacity),
       clock_(options.clock != nullptr ? options.clock
                                       : &obs::steady_window_clock()),
-      flight_(options.flight_capacity),
-      traces_(options.trace_capacity) {
+      flight_(kFlightCapacity) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   if (options_.enable_metrics) reg.set_enabled(true);
   for (const Op op : kOpDisplayOrder) {
@@ -409,17 +423,6 @@ void Server::finish_request(const std::optional<Op>& op, RequestTrace&& trace,
   trace.outcome = ok ? "ok" : std::string(to_string(code));
   trace.seq = next_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  RequestDigest digest;
-  digest.seq = trace.seq;
-  digest.end_us = end_us;
-  digest.op = trace.op;
-  digest.id = trace.id;
-  digest.topology_hash = trace.topology_hash;
-  digest.latency_us = static_cast<double>(latency_us);
-  digest.ok = ok;
-  digest.outcome = trace.outcome;
-  flight_.record(std::move(digest));
-
   // SLO breach: the request had an armed deadline and either died of it
   // or finished past it (a late success still burned the budget).
   const bool breach =
@@ -434,19 +437,17 @@ void Server::finish_request(const std::optional<Op>& op, RequestTrace&& trace,
   if (options_.enable_window) {
     const double v = static_cast<double>(latency_us);
     OpWindow& all = *windows_[kNumOps];
-    all.requests.add();
     all.latency_us.observe(v);
     if (!ok) all.errors.add();
     if (breach) all.slo_breaches.add();
     if (op.has_value()) {
       OpWindow& w = *windows_[static_cast<std::size_t>(*op)];
-      w.requests.add();
       w.latency_us.observe(v);
       if (!ok) w.errors.add();
       if (breach) w.slo_breaches.add();
     }
-    traces_.push(std::move(trace));
   }
+  flight_.record(std::move(trace));
 
   // Fault: an internal error is the black box's trigger — write the
   // ring out while the state that produced the fault is still in it.
@@ -844,17 +845,17 @@ std::string Server::run_stats(const Request& request) {
       w.key(aggregate ? std::string("all")
                       : std::string(to_string(kOpDisplayOrder[i])));
       w.begin_object();
-      // One ring merge per window size serves both quantiles; the
-      // stats op rides the hot request path, so this keeps the live
-      // plane inside its <2% throughput budget.
+      // One ring merge per window size serves the rate, both
+      // quantiles and the SLO burn; the stats op rides the hot request
+      // path, so this keeps the live plane inside its <2% budget.
       const obs::HistogramSnapshot lat10 =
           win.latency_us.merged(kWindow10s);
       const obs::HistogramSnapshot lat60 =
           win.latency_us.merged(kWindow60s);
       w.key("rate_10s");
-      w.value(win.requests.rate_per_sec(kWindow10s));
+      w.value(window_rate(lat10, kWindow10s));
       w.key("rate_60s");
-      w.value(win.requests.rate_per_sec(kWindow60s));
+      w.value(window_rate(lat60, kWindow60s));
       w.key("errors_60s");
       w.value(win.errors.sum_window(kWindow60s));
       w.key("p50_us_10s");
@@ -866,13 +867,10 @@ std::string Server::run_stats(const Request& request) {
       w.key("p99_us_60s");
       w.value(obs::histogram_quantile(lat60, 0.99));
       const std::uint64_t breaches = win.slo_breaches.sum_window(kWindow60s);
-      const std::uint64_t requests = win.requests.sum_window(kWindow60s);
       w.key("slo_breaches_60s");
       w.value(breaches);
       w.key("slo_burn_60s");
-      w.value(requests == 0 ? 0.0
-                            : static_cast<double>(breaches) /
-                                  static_cast<double>(requests));
+      w.value(slo_burn(breaches, lat60));
       if (!aggregate) {
         w.key("slo_breaches_total");
         w.value(slo_breach_totals_[index].load(std::memory_order_relaxed));
@@ -881,11 +879,11 @@ std::string Server::run_stats(const Request& request) {
     }
     w.end_object();
     w.key("trace_buffered");
-    w.value(static_cast<std::uint64_t>(traces_.buffered()));
+    w.value(static_cast<std::uint64_t>(flight_.buffered()));
     w.key("trace_total");
-    w.value(traces_.total());
+    w.value(flight_.total());
     w.key("trace_dropped");
-    w.value(traces_.dropped());
+    w.value(flight_.dropped());
   }
   w.end_object();
 
@@ -944,7 +942,16 @@ std::string Server::run_stats(const Request& request) {
 std::string Server::run_trace(const Request& request) {
   const std::size_t limit =
       request.limit > 0 ? static_cast<std::size_t>(request.limit) : 0;
-  const std::vector<RequestTrace> drained = traces_.drain(limit);
+  // With the live plane off the records carry no spans, and `trace`
+  // answers as if it kept none.
+  std::vector<RequestTrace> drained;
+  std::uint64_t buffered = 0;
+  std::uint64_t dropped = 0;
+  if (options_.enable_window) {
+    drained = flight_.drain(limit);
+    buffered = flight_.buffered();
+    dropped = flight_.dropped();
+  }
 
   obs::JsonWriter w;
   begin_reply(w, request.id, Op::kTrace);
@@ -986,9 +993,9 @@ std::string Server::run_trace(const Request& request) {
   }
   w.end_array();
   w.key("buffered");
-  w.value(static_cast<std::uint64_t>(traces_.buffered()));
+  w.value(buffered);
   w.key("dropped");
-  w.value(traces_.dropped());
+  w.value(dropped);
   return finish_reply(std::move(w));
 }
 
@@ -1009,16 +1016,16 @@ std::string Server::run_dump(const Request& request) {
   if (!options_.flight_path.empty()) {
     written = flight_.dump(options_.flight_path);
   }
-  const std::vector<RequestDigest> digests = flight_.snapshot();
+  const std::vector<RequestTrace> records = flight_.snapshot();
 
   obs::JsonWriter w;
   begin_reply(w, request.id, Op::kDump);
   begin_ok_result(w);
   w.key("digests");
   w.begin_array();
-  for (const RequestDigest& d : digests) {
+  for (const RequestTrace& t : records) {
     w.begin_object();
-    write_digest_fields(w, d);
+    write_digest_fields(w, t);
     w.end_object();
   }
   w.end_array();
@@ -1052,10 +1059,10 @@ void Server::append_window_gauges(std::vector<obs::ExpoGauge>& out) {
     }
   };
   family("windim.serve.window.rate_10s", [](OpWindow& win) {
-    return win.requests.rate_per_sec(kWindow10s);
+    return window_rate(win.latency_us.merged(kWindow10s), kWindow10s);
   });
   family("windim.serve.window.rate_60s", [](OpWindow& win) {
-    return win.requests.rate_per_sec(kWindow60s);
+    return window_rate(win.latency_us.merged(kWindow60s), kWindow60s);
   });
   family("windim.serve.window.error_rate_60s", [](OpWindow& win) {
     return win.errors.rate_per_sec(kWindow60s);
@@ -1074,10 +1081,7 @@ void Server::append_window_gauges(std::vector<obs::ExpoGauge>& out) {
   });
   family("windim.serve.window.slo_burn_60s", [](OpWindow& win) {
     const std::uint64_t breaches = win.slo_breaches.sum_window(kWindow60s);
-    const std::uint64_t requests = win.requests.sum_window(kWindow60s);
-    return requests == 0 ? 0.0
-                         : static_cast<double>(breaches) /
-                               static_cast<double>(requests);
+    return slo_burn(breaches, win.latency_us.merged(kWindow60s));
   });
 }
 

@@ -28,13 +28,13 @@
 //
 // Live observability (DESIGN.md §14) rides the same entry point: every
 // request is traced through its stages (queue -> parse -> cache lookup
-// -> workspace lease -> solve) on an injectable clock, lands a digest
-// in the flight recorder, and feeds per-op sliding-window rates and
-// latency quantiles.  The `trace`, `metrics` and `dump` ops (and
-// SIGUSR1 under serve_unix) read that state without stopping the
-// daemon.  Windowed values live OUTSIDE the cumulative
-// obs::MetricsRegistry, so the byte-stable snapshot contract of the
-// PR 4/5 metrics survives untouched.
+// -> workspace lease -> solve) on an injectable clock, lands as one
+// record in the flight recorder, and feeds per-op sliding-window
+// latency sketches, whose counts are the windowed request rates.  The
+// `trace`, `metrics` and `dump` ops (and SIGUSR1 under serve_unix) read
+// that state without stopping the daemon.  Windowed values live
+// OUTSIDE the cumulative obs::MetricsRegistry, so the byte-stable
+// snapshot contract of the PR 4/5 metrics survives untouched.
 #pragma once
 
 #include <array>
@@ -85,15 +85,10 @@ struct ServeOptions {
   /// request stream.
   obs::WindowClock* clock = nullptr;
   /// Master switch for the live plane: sliding-window rates/quantiles,
-  /// SLO burn tracking and request traces.  The flight recorder stays
-  /// on regardless — the black box must cover exactly the flights
-  /// nobody expected to crash.
+  /// SLO burn tracking, stage spans and the `trace` op.  The flight
+  /// recorder stays on regardless — the black box must cover exactly
+  /// the flights nobody expected to crash.
   bool enable_window = true;
-  /// Trace-buffer ring size (requests whose span lists the `trace` op
-  /// can still drain).
-  std::size_t trace_capacity = 256;
-  /// Flight-recorder ring size (last-N request digests).
-  std::size_t flight_capacity = 512;
   /// When set, SIGUSR1 under serve_unix writes the OpenMetrics
   /// exposition to this path (stdio-free scrape).
   std::string expo_path;
@@ -114,6 +109,10 @@ struct ServeCounters {
 
 class Server {
  public:
+  /// Requests the flight recorder keeps: what `dump` lists and how far
+  /// back `trace` reaches.
+  static constexpr std::size_t kFlightCapacity = 512;
+
   explicit Server(ServeOptions options = {});
 
   struct Reply {
@@ -158,10 +157,10 @@ class Server {
   /// snapshot plus (when the live plane is on) the windowed
   /// windim_serve_window_* gauges, one row per op.
   [[nodiscard]] std::string exposition();
+  /// The last kFlightCapacity request records.
   [[nodiscard]] const FlightRecorder& flight() const noexcept {
     return flight_;
   }
-  [[nodiscard]] TraceBuffer& traces() noexcept { return traces_; }
   /// SIGUSR1 entry: writes the exposition to expo_path and the flight
   /// JSONL to flight_path (whichever are configured).
   void write_live_dumps();
@@ -173,20 +172,16 @@ class Server {
   }
 
  private:
-  /// Per-op live-plane state: windowed request/error/SLO-breach rates
-  /// and a windowed latency sketch.  windows_[kNumOps] is the all-ops
-  /// aggregate.
+  /// Per-op live-plane state: windowed error and SLO-breach counts and
+  /// a windowed latency sketch, whose count is the request count.
+  /// windows_[kNumOps] is the all-ops aggregate.
   struct OpWindow {
-    obs::WindowCounter requests;
     obs::WindowCounter errors;
     obs::WindowCounter slo_breaches;
     obs::WindowHistogram latency_us;
 
     explicit OpWindow(obs::WindowClock* clock)
-        : requests(clock),
-          errors(clock),
-          slo_breaches(clock),
-          latency_us(clock) {}
+        : errors(clock), slo_breaches(clock), latency_us(clock) {}
   };
 
   /// handle_line with the transport's enqueue timestamp: the gap to the
@@ -216,8 +211,8 @@ class Server {
   [[nodiscard]] std::string run_metrics(const Request& request);
   [[nodiscard]] std::string run_dump(const Request& request);
 
-  /// Every reply path funnels through here: flight digest, windowed
-  /// rates/latency, SLO accounting, trace push, fault dump.
+  /// Every reply path funnels through here: windowed latency, SLO
+  /// accounting, the flight record, fault dump.
   void finish_request(const std::optional<Op>& op, RequestTrace&& trace,
                       std::uint64_t t0_us, double deadline_ms, bool ok,
                       ErrorCode code);
@@ -252,7 +247,6 @@ class Server {
 
   obs::WindowClock* clock_;
   FlightRecorder flight_;
-  TraceBuffer traces_;
   std::vector<std::unique_ptr<OpWindow>> windows_;  // kNumOps + 1 entries
   std::atomic<std::uint64_t> next_seq_{0};
 

@@ -52,9 +52,7 @@ class ConvolutionSolver final : public Solver {
 
 class BuzenSolver final : public Solver {
  public:
-  BuzenSolver(std::string_view name, bool log_domain) noexcept
-      : name_(name), log_domain_(log_domain) {}
-  std::string_view name() const noexcept override { return name_; }
+  std::string_view name() const noexcept override { return "buzen"; }
   Traits traits() const noexcept override {
     Traits t;
     t.exact = true;
@@ -68,8 +66,7 @@ class BuzenSolver final : public Solver {
                  Workspace& ws) const override {
     ws.reset();
     qn::NetworkModel& m = ws.scratch_model(model, population);
-    const exact::BuzenResult r =
-        log_domain_ ? exact::solve_buzen_log(m) : exact::solve_buzen(m);
+    const exact::BuzenResult r = exact::solve_buzen(m);
     Solution s;
     s.num_chains = 1;
     auto lambda = ws.doubles(1);
@@ -83,10 +80,6 @@ class BuzenSolver final : public Solver {
     s.station_utilization = copy_to(ws, r.utilization);
     return s;
   }
-
- private:
-  std::string_view name_;
-  bool log_domain_;
 };
 
 class RecalSolver final : public Solver {
@@ -292,11 +285,7 @@ const Solver& convolution_solver() {
   return s;
 }
 const Solver& buzen_solver() {
-  static const BuzenSolver s{"buzen", false};
-  return s;
-}
-const Solver& buzen_log_solver() {
-  static const BuzenSolver s{"buzen-log", true};
+  static const BuzenSolver s;
   return s;
 }
 const Solver& recal_solver() {

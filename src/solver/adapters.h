@@ -15,7 +15,6 @@ namespace windim::solver {
 
 const Solver& convolution_solver();       // exact::solve_convolution
 const Solver& buzen_solver();             // exact::solve_buzen
-const Solver& buzen_log_solver();         // exact::solve_buzen_log
 const Solver& recal_solver();             // exact::solve_recal
 const Solver& tree_convolution_solver();  // exact::solve_tree_convolution
 const Solver& product_form_solver();      // exact::solve_product_form

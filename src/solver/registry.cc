@@ -67,7 +67,6 @@ SolverRegistry::SolverRegistry() {
   };
   add(convolution_solver());
   add(buzen_solver());
-  add(buzen_log_solver());
   add(recal_solver());
   add(tree_convolution_solver());
   add(product_form_solver());

@@ -4,7 +4,6 @@
 //
 //   convolution        exact multichain convolution (lattice)
 //   buzen              Buzen single-chain convolution
-//   buzen-log          log-domain Buzen (extreme populations)
 //   recal              RECAL, recursion by chain
 //   tree-convolution   Lam & Lien sparse-routing convolution
 //   product-form       brute-force product-form enumeration

@@ -145,24 +145,18 @@ void check_instance(const verify::Instance& inst, solver::Workspace& ws) {
                          id);
       });
 
-  for (const char* name : {"buzen", "buzen-log"}) {
-    const bool log_domain = std::string(name) == "buzen-log";
-    compare(
-        name, compiled, population, ws, id,
-        [&] {
-          return log_domain ? exact::solve_buzen_log(m)
-                            : exact::solve_buzen(m);
-        },
-        [&](const solver::Solution& s, const exact::BuzenResult& r) {
-          ASSERT_EQ(s.chain_throughput.size(), 1u) << name << " on " << id;
-          EXPECT_NEAR(s.chain_throughput[0], r.throughput,
-                      kTol * std::max(1.0, std::fabs(r.throughput)))
-              << name << " throughput on " << id;
-          expect_span_near(s.mean_queue, r.mean_number, name, "queue", id);
-          expect_span_near(s.station_utilization, r.utilization, name,
-                           "utilization", id);
-        });
-  }
+  compare(
+      "buzen", compiled, population, ws, id,
+      [&] { return exact::solve_buzen(m); },
+      [&](const solver::Solution& s, const exact::BuzenResult& r) {
+        ASSERT_EQ(s.chain_throughput.size(), 1u) << "buzen on " << id;
+        EXPECT_NEAR(s.chain_throughput[0], r.throughput,
+                    kTol * std::max(1.0, std::fabs(r.throughput)))
+            << "buzen throughput on " << id;
+        expect_span_near(s.mean_queue, r.mean_number, "buzen", "queue", id);
+        expect_span_near(s.station_utilization, r.utilization, "buzen",
+                         "utilization", id);
+      });
 
   for (const mva::SigmaPolicy policy :
        {mva::SigmaPolicy::kChanSingleChain, mva::SigmaPolicy::kSchweitzerBard}) {

@@ -160,6 +160,34 @@ TEST(PerfBaseline, DifferentFingerprintSkipsPerUnitRowsOnly) {
   EXPECT_FALSE(row(leaky, "warm_workspace_allocations").ok);
 }
 
+std::string serve_json(double overhead_pct, double live_plane_ns) {
+  return std::string("{\"benchmark\":\"perf_serve\",\"fingerprint\":") +
+         kHost + ",\"serve_cache_hit_rate\":0.9987" +
+         ",\"serve_window_overhead_pct\":" + std::to_string(overhead_pct) +
+         ",\"serve_live_plane_ns_per_request\":" +
+         std::to_string(live_plane_ns) +
+         ",\"serve_error_free\":true,\"serve_pass\":true}";
+}
+
+TEST(PerfBaseline, ServeLivePlaneIsAPerUnitCostNotAShare) {
+  // A faster host spends less CPU per request, so the same live plane
+  // is a larger share of it: 0.9% -> 1.5% is no regression.
+  const BaselineReport faster = compare_baseline(
+      serve_json(0.9, 520.0), serve_json(1.5, 520.0), perf_serve_checks());
+  EXPECT_TRUE(faster.ok()) << faster.render();
+  for (const MetricComparison& c : faster.comparisons) {
+    EXPECT_NE(c.metric, "serve_window_overhead_pct");
+  }
+  // The plane itself 30% slower on the same machine fails.
+  const BaselineReport slower = compare_baseline(
+      serve_json(0.9, 520.0), serve_json(0.9, 676.0), perf_serve_checks());
+  EXPECT_FALSE(slower.ok());
+  const MetricComparison& c = row(slower, "serve_live_plane_ns_per_request");
+  EXPECT_FALSE(c.skipped);
+  EXPECT_FALSE(c.ok);
+  EXPECT_NEAR(c.drift_pct, 30.0, 0.1);
+}
+
 TEST(PerfBaseline, MissingFingerprintIsAnError) {
   const std::string good = perf_json(11.6, 0.12, 0, true);
   const BaselineReport report = compare_baseline(

@@ -14,6 +14,7 @@
 
 #include "obs/json.h"
 #include "obs/window.h"
+#include "serve/flight.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve_socketpair.h"
@@ -192,7 +193,7 @@ TEST(ServeLiveTest, QueueSpanCoversTransportEnqueueGap) {
   serve::Server server(live_options(&clock));
   EXPECT_EQ(test::serve_socketpair(server, evaluate_line(1) + "\n").rc, 0);
 
-  const std::vector<serve::RequestTrace> traces = server.traces().drain();
+  const std::vector<serve::RequestTrace> traces = server.flight().snapshot();
   ASSERT_EQ(traces.size(), 1u);
   ASSERT_FALSE(traces[0].spans.empty());
   EXPECT_EQ(traces[0].spans[0].name, "queue");
@@ -247,16 +248,76 @@ TEST(ServeLiveTest, DumpOpReturnsDigestsAndWritesJsonl) {
 
 TEST(ServeLiveTest, FlightRingKeepsOnlyTheLastN) {
   obs::ManualWindowClock clock;
-  serve::ServeOptions options = live_options(&clock);
-  options.flight_capacity = 4;
-  serve::Server server(options);
-  for (int i = 0; i < 10; ++i) (void)server.handle_line(evaluate_line(i));
+  serve::Server server(live_options(&clock));
+  const std::size_t capacity = serve::Server::kFlightCapacity;
+  ASSERT_EQ(server.flight().capacity(), capacity);
+  // Cheap lines: a parse error is recorded like any other request.
+  for (std::size_t i = 0; i < capacity + 8; ++i) {
+    (void)server.handle_line("not json");
+  }
 
-  const std::vector<serve::RequestDigest> digests = server.flight().snapshot();
-  ASSERT_EQ(digests.size(), 4u);
-  EXPECT_EQ(digests.front().seq, 7u);
-  EXPECT_EQ(digests.back().seq, 10u);
-  EXPECT_EQ(server.flight().total(), 10u);
+  const std::vector<serve::RequestTrace> records = server.flight().snapshot();
+  ASSERT_EQ(records.size(), capacity);
+  EXPECT_EQ(records.front().seq, 9u);
+  EXPECT_EQ(records.back().seq, capacity + 8);
+  EXPECT_EQ(server.flight().total(), capacity + 8);
+}
+
+TEST(ServeLiveTest, DumpStillListsRequestsTheTraceOpDrained) {
+  obs::ManualWindowClock clock;
+  serve::Server server(live_options(&clock));
+  (void)server.handle_line(evaluate_line(1));
+  (void)server.handle_line(evaluate_line(2));
+
+  const obs::JsonValue trace =
+      parse_reply(server.handle_line("{\"op\":\"trace\",\"id\":3}").json);
+  ASSERT_EQ(trace.find("result")->find("traces")->array.size(), 2u);
+
+  const obs::JsonValue dump =
+      parse_reply(server.handle_line("{\"op\":\"dump\",\"id\":4}").json);
+  const obs::JsonValue* digests = dump.find("result")->find("digests");
+  ASSERT_NE(digests, nullptr);
+  std::vector<std::string> ids;
+  for (const obs::JsonValue& d : digests->array) {
+    ids.push_back(std::string(d.string_or("id", "")));
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"1", "2", "3"}));
+}
+
+// The ring's drain cursor: `trace` returns each record at most once,
+// a record that falls off the ring undrained counts as dropped, and
+// draining leaves the ring itself (what `dump` lists) as it was.
+TEST(FlightRecorderTest, DrainAdvancesACursorOverTheRing) {
+  serve::FlightRecorder flight(4);
+  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
+    serve::RequestTrace t;
+    t.seq = seq;
+    flight.record(std::move(t));
+  }
+  EXPECT_EQ(flight.buffered(), 4u);
+  EXPECT_EQ(flight.dropped(), 6u);
+
+  const std::vector<serve::RequestTrace> drained = flight.drain(2);
+  ASSERT_EQ(drained.size(), 2u);
+  EXPECT_EQ(drained[0].seq, 7u);
+  EXPECT_EQ(drained[1].seq, 8u);
+  EXPECT_EQ(flight.buffered(), 2u);
+  EXPECT_EQ(flight.dropped(), 6u);
+
+  std::vector<std::uint64_t> ring;
+  for (const serve::RequestTrace& t : flight.snapshot()) ring.push_back(t.seq);
+  EXPECT_EQ(ring, (std::vector<std::uint64_t>{7, 8, 9, 10}));
+  EXPECT_EQ(flight.total(), 10u);
+
+  // The rest drains once; a drained record is not dropped when the ring
+  // later overwrites it.
+  EXPECT_EQ(flight.drain().size(), 2u);
+  EXPECT_TRUE(flight.drain().empty());
+  serve::RequestTrace next;
+  next.seq = 11;
+  flight.record(std::move(next));
+  EXPECT_EQ(flight.dropped(), 6u);
+  EXPECT_EQ(flight.buffered(), 1u);
 }
 
 // A scripted fault session: the internal-error reply triggers an

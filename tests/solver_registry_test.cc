@@ -50,9 +50,9 @@ TEST(SolverRegistry, ListsEveryCanonicalSolverName) {
   const std::vector<std::string> names =
       solver::SolverRegistry::instance().names();
   const std::vector<std::string> expected = {
-      "convolution", "buzen",         "buzen-log",      "recal",
-      "tree-convolution", "product-form", "exact-mva",  "heuristic-mva",
-      "schweitzer-mva",   "linearizer",   "bounds",     "semiclosed",
+      "convolution",    "buzen",      "recal",  "tree-convolution",
+      "product-form",   "exact-mva",  "heuristic-mva",
+      "schweitzer-mva", "linearizer", "bounds", "semiclosed",
       "auto"};
   EXPECT_EQ(names, expected);
   for (const std::string& name : names) {

@@ -124,6 +124,42 @@ TEST(WindowHistogramTest, SliceReuseAfterHorizonDoesNotResurrectCounts) {
   EXPECT_DOUBLE_EQ(h.sum, 50.0);
 }
 
+// The serve daemon reads its windowed request rates from the latency
+// histogram's merged count instead of keeping a counter beside it: on
+// one clock the two always agree, through small steps, jumps past the
+// 64-tick horizon and reads at any window.
+TEST(WindowHistogramTest, MergedCountEqualsTheCounterSum) {
+  obs::ManualWindowClock clock;
+  obs::WindowCounter counter(&clock);
+  obs::WindowHistogram hist(&clock);
+  std::uint64_t state = 12345;
+  const auto next = [&state](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  for (int i = 0; i < 20'000; ++i) {
+    switch (next(8)) {
+      case 0:
+        clock.advance_us(next(3'000'000));
+        break;
+      case 1:
+        if (next(50) == 0) clock.advance_seconds(60 + next(20));
+        break;
+      case 2:
+      case 3: {
+        const std::uint64_t window = 1 + next(70);
+        ASSERT_EQ(hist.merged(window).count, counter.sum_window(window))
+            << "step " << i << ", window " << window;
+        break;
+      }
+      default:
+        counter.add();
+        hist.observe(static_cast<double>(next(1000)));
+        break;
+    }
+  }
+}
+
 // ------------------------------------------------- quantile error bound
 
 TEST(HistogramQuantileTest, InterpolatesInsideTheRankBucket) {
