@@ -4,7 +4,6 @@
 //   windim_cli dimension <spec-file> [--solver=NAME] [--max-window=N]
 //                        [--objective=power|gpower=A|delaycap=T] [--csv]
 //   windim_cli evaluate  <spec-file> E1 E2 ... [--solver=NAME]
-//                        [--solver-threads=N]
 //   windim_cli simulate  <spec-file> E1 E2 ... [--time=S] [--seed=N]
 //                        [--buffers=K] [--permits=P] [--reverse-acks]
 //                        [--reps=N]
@@ -21,7 +20,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -42,7 +40,6 @@
 #include "solver/registry.h"
 #include "solver/workspace.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "verify/corpus.h"
 #include "verify/fuzz.h"
 #include "windim/windim.h"
@@ -61,13 +58,11 @@ int usage() {
       "                       [--alpha=0|1|2|inf] [--min-fairness=F]\n"
       "                       [--max-delay=T]\n"
       "                       [--pareto-out=FILE] [--pareto-points=N]\n"
-      "                       [--solver-threads=N]\n"
       "                       [--max-evals=N] [--cold-start]\n"
       "                       [--metrics-out=FILE] [--trace-out=FILE]\n"
       "                       [--trace-spans-out=FILE] "
       "[--convergence-out=FILE]\n"
       "  windim_cli evaluate  <spec> E1 E2 ... [--solver=NAME]\n"
-      "                       [--solver-threads=N]\n"
       "  windim_cli simulate  <spec> E1 E2 ... [--time=S] [--seed=N]\n"
       "                       [--buffers=K] [--permits=P] [--reverse-acks]\n"
       "                       [--reps=N]\n"
@@ -163,26 +158,6 @@ std::optional<std::string> flag_value(const std::string& arg,
   return std::nullopt;
 }
 
-/// --threads=N stays accepted so existing scripts keep working, but the
-/// window search is sequential: any value but the default 1 only warns.
-void warn_threads_ignored(int threads) {
-  if (threads == 1) return;
-  std::fprintf(stderr,
-               "warning: --threads is deprecated and ignored; the window "
-               "search runs serially (use --solver-threads for parallel "
-               "sweeps)\n");
-}
-
-/// The chain-block sweep pool --solver-threads=N asks for: none for
-/// N = 1, else N workers capped at the hardware concurrency.  Sweeps are
-/// bit-identical to serial for any pool size, so this is purely a
-/// wall-clock knob for continental-scale models.
-std::unique_ptr<util::ThreadPool> make_sweep_pool(int solver_threads) {
-  if (solver_threads <= 1) return nullptr;
-  return std::make_unique<util::ThreadPool>(
-      util::resolve_thread_count(solver_threads));
-}
-
 /// Writes `body` to `path`; prints the error and returns false when the
 /// file cannot be written.
 bool write_text(const std::string& path, const std::string& body) {
@@ -233,7 +208,6 @@ void print_evaluation(const core::Evaluation& ev,
 int cmd_dimension(const cli::NetworkSpec& spec,
                   const std::vector<std::string>& args) {
   core::DimensionOptions options;
-  int solver_threads = 1;
   bool csv = false;
   std::string metrics_out;
   std::string trace_out;
@@ -317,10 +291,6 @@ int cmd_dimension(const cli::NetworkSpec& spec,
         std::fprintf(stderr, "error: --pareto-points must be >= 2\n");
         return 2;
       }
-    } else if (auto v = flag_value(arg, "threads")) {
-      warn_threads_ignored(parse_number<int>(*v, "--threads"));
-    } else if (auto v = flag_value(arg, "solver-threads")) {
-      solver_threads = parse_count(*v, "--solver-threads");
     } else if (auto v = flag_value(arg, "max-evals")) {
       options.max_evaluations = parse_number<std::size_t>(*v, "--max-evals");
     } else if (arg == "--cold-start") {
@@ -357,9 +327,6 @@ int cmd_dimension(const cli::NetworkSpec& spec,
     if (rejected) return 2;
   }
 
-  const std::unique_ptr<util::ThreadPool> sweep_pool =
-      make_sweep_pool(solver_threads);
-  options.solver_pool = sweep_pool.get();
   if (!metrics_out.empty()) obs::MetricsRegistry::global().set_enabled(true);
   obs::SpanTracer& spans = obs::SpanTracer::global();
   if (!spans_out.empty()) spans.set_enabled(true);
@@ -499,14 +466,11 @@ int cmd_evaluate(const cli::NetworkSpec& spec,
   const auto windows = parse_windows(args, spec.classes.size(), flags);
   if (!windows) return 2;
   std::string solver_name = "heuristic-mva";
-  int solver_threads = 1;
   for (const std::string& arg : flags) {
     if (auto v = flag_value(arg, "solver")) {
       solver_name = *v;
     } else if (auto v = flag_value(arg, "evaluator")) {
       solver_name = *v;
-    } else if (auto v = flag_value(arg, "solver-threads")) {
-      solver_threads = parse_count(*v, "--solver-threads");
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       return 2;
@@ -516,9 +480,6 @@ int cmd_evaluate(const cli::NetworkSpec& spec,
   if (solver == nullptr) return 2;
   const core::WindowProblem problem(spec.topology, spec.classes);
   solver::Workspace ws;
-  const std::unique_ptr<util::ThreadPool> sweep_pool =
-      make_sweep_pool(solver_threads);
-  ws.hints.pool = sweep_pool.get();
   std::printf("evaluator:  %s\n", std::string(solver->name()).c_str());
   print_evaluation(problem.evaluate_with(*windows, *solver, ws),
                    spec.classes);
@@ -762,8 +723,6 @@ int cmd_sweep(const cli::NetworkSpec& spec,
     } else if (auto v = flag_value(arg, "evaluator")) {
       if (resolve_solver(*v) == nullptr) return 2;
       options.solver = *v;
-    } else if (auto v = flag_value(arg, "threads")) {
-      warn_threads_ignored(parse_number<int>(*v, "--threads"));
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", arg.c_str());
       return 2;

@@ -4,18 +4,16 @@
 // (station, chain) cells, flat hoisted sweeps and a warm Workspace
 // arena — for a fixed number of sweeps (tolerance 0), and price it per
 // unit of its work: ns per visited cell per sweep, from the fastest
-// serial solve of each fixture over one shared one-second window
-// (bench/baseline.h fastest_ms).  The 10k fixture is timed once more
-// with a 4-thread SolveHints::pool running the sigma subproblem in
-// chain blocks.
+// solve of each fixture over one shared one-second window
+// (bench/baseline.h fastest_ms).
 //
 // Gates (exit 1 on violation):
 //   - the kernel costs at most kMaxNsPerVisitedCell per visited cell
 //     per sweep at both sizes, on any host;
-//   - the serial and the pooled kernel return the chain throughputs of
-//     the dense reference mva::solve_approx_mva over the same sweeps,
-//     bit for bit (compiled_equivalence_test pins the same identity on
-//     small models);
+//   - the kernel returns the chain throughputs of the dense reference
+//     mva::solve_approx_mva over the same sweeps, bit for bit
+//     (compiled_equivalence_test pins the same identity on small
+//     models);
 //   - the timed kernel calls perform ZERO workspace arena allocations.
 //
 // --trace-spans-out=PATH writes a Chrome-trace span file covering the
@@ -35,7 +33,6 @@
 #include "solver/registry.h"
 #include "solver/solver.h"
 #include "solver/workspace.h"
-#include "util/thread_pool.h"
 #include "verify/gen.h"
 
 namespace {
@@ -85,20 +82,19 @@ struct Fixture {
   std::vector<int> population;
   windim::solver::Workspace ws;
   std::size_t visited_cells = 0;
-  std::vector<double> lambda;  // the serial kernel's throughputs
+  std::vector<double> lambda;  // the kernel's throughputs
 };
 
 struct SizeResult {
   double kernel_ms = 0.0;
-  double pool_kernel_ms = 0.0;  // with a pool of pool_threads (0 = none)
-  double ns_per_visited_cell = 0.0;  // fastest serial solve, per sweep
+  double ns_per_visited_cell = 0.0;  // fastest solve, per sweep
   double max_rel_diff = 0.0;         // vs the dense reference
   bool bit_identical = false;
 };
 
-// The median serial solve over `reps`, the pooled one when
-// `pool_threads` > 0, and the comparison with the dense reference.
-SizeResult measure(Fixture& f, int reps, std::size_t pool_threads,
+// The median solve over `reps` and the comparison with the dense
+// reference.
+SizeResult measure(Fixture& f, int reps,
                    const windim::mva::ApproxMvaOptions& options) {
   windim::obs::SpanTracer::Scope span(&windim::obs::SpanTracer::global(),
                                       "bench.large_model", "bench");
@@ -111,21 +107,6 @@ SizeResult measure(Fixture& f, int reps, std::size_t pool_threads,
     out.kernel_ms = median_ms(reps, [&] { (void)f.solve(); });
     s.arg("median_ms", out.kernel_ms);
   }
-  std::vector<double> pool_lambda;
-  if (pool_threads > 0) {
-    windim::obs::SpanTracer::Scope s(&windim::obs::SpanTracer::global(),
-                                     "bench.pool_kernel_solve", "bench");
-    s.arg("chains", f.chains);
-    windim::util::ThreadPool pool(pool_threads);
-    f.ws.hints.pool = &pool;
-    out.pool_kernel_ms = median_ms(reps, [&] {
-      const windim::solver::Solution sol = f.solve();
-      pool_lambda.assign(sol.chain_throughput.begin(),
-                         sol.chain_throughput.end());
-    });
-    f.ws.hints.pool = nullptr;
-    s.arg("median_ms", out.pool_kernel_ms);
-  }
 
   std::vector<double> dense_lambda;
   {
@@ -135,17 +116,11 @@ SizeResult measure(Fixture& f, int reps, std::size_t pool_threads,
     dense_lambda =
         windim::mva::solve_approx_mva(f.inst.model, options).chain_throughput;
   }
-  out.bit_identical = f.lambda == dense_lambda &&
-                      (pool_lambda.empty() || pool_lambda == dense_lambda);
+  out.bit_identical = f.lambda == dense_lambda;
   for (std::size_t r = 0; r < dense_lambda.size(); ++r) {
     const double denom = std::max(1e-300, std::abs(dense_lambda[r]));
     out.max_rel_diff = std::max(
         out.max_rel_diff, std::abs(f.lambda[r] - dense_lambda[r]) / denom);
-    if (!pool_lambda.empty()) {
-      out.max_rel_diff =
-          std::max(out.max_rel_diff,
-                   std::abs(pool_lambda[r] - dense_lambda[r]) / denom);
-    }
   }
   return out;
 }
@@ -173,11 +148,10 @@ int main(int argc, char** argv) {
   Fixture small(1000, options);
   Fixture large(10000, options);
 
-  constexpr std::size_t kPoolThreads = 4;
   const std::uint64_t allocs_before =
       windim::solver::Workspace::total_heap_allocations();
-  SizeResult r1k = measure(small, reps, 0, options);
-  SizeResult r10k = measure(large, reps, kPoolThreads, options);
+  SizeResult r1k = measure(small, reps, options);
+  SizeResult r10k = measure(large, reps, options);
   {
     windim::obs::SpanTracer::Scope s(&windim::obs::SpanTracer::global(),
                                      "bench.per_unit_window", "bench");
@@ -200,9 +174,6 @@ int main(int argc, char** argv) {
         f->chains, r.kernel_ms, r.ns_per_visited_cell, f->visited_cells,
         r.max_rel_diff);
   }
-  std::printf("%6d chains: kernel with a %zu-thread sweep pool %8.3f ms "
-              "(serial %.3f ms)\n",
-              large.chains, kPoolThreads, r10k.pool_kernel_ms, r10k.kernel_ms);
 
   const bool bit_identical = r1k.bit_identical && r10k.bit_identical;
 
@@ -234,8 +205,6 @@ int main(int argc, char** argv) {
   w.value(r1k.kernel_ms);
   w.key("large_kernel_10k_ms");
   w.value(r10k.kernel_ms);
-  w.key("large_kernel_10k_pool4_ms");
-  w.value(r10k.pool_kernel_ms);
   w.key("large_ns_per_visited_cell_1k");
   w.value(r1k.ns_per_visited_cell);
   w.key("large_ns_per_visited_cell_10k");

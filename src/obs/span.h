@@ -15,9 +15,9 @@
 //     probe -> solve -> iterate subtree of every probe from its probe
 //     record (obs/probe.h, render_replay_spans) onto a virtual "replay"
 //     track with a running cursor timestamp.  This is what makes the
-//     whole trace of a run byte-identical from run to run (and with or
-//     without a sweep pool) once timestamps and durations are
-//     normalized (span_trace_test pins it).
+//     whole trace of a run byte-identical from run to run once
+//     timestamps and durations are normalized (the golden pins of
+//     tests/golden/check.sh hold it).
 //
 // Budget (DESIGN.md §8/§9): every entry point first checks one relaxed
 // atomic enabled flag; a disabled tracer does no clock reads, no

@@ -251,11 +251,13 @@ ParseResult parse_request(std::string_view line) {
                 ErrorCode::kInvalidRequest,
                 "field 'alpha' must be 0, 1, 2 or \"inf\"");
   };
-  // 'threads' stays accepted (and range-checked) so existing clients
-  // keep working, but searches are sequential, so its value is unused.
-  const auto ignored_threads_field = [&]() -> std::optional<ParseResult> {
+  // 'threads' and 'solver_threads' stay accepted (and range-checked) so
+  // existing clients keep working, but searches and their solves are
+  // serial, so their values are unused.
+  const auto ignored_threads_field =
+      [&](const char* key) -> std::optional<ParseResult> {
     int threads = 1;
-    return int_field("threads", 1, 4096, threads);
+    return int_field(key, 1, 4096, threads);
   };
   const auto min_fairness_field = [&]() -> std::optional<ParseResult> {
     if (doc->find("min_fairness") == nullptr) return std::nullopt;
@@ -293,10 +295,7 @@ ParseResult parse_request(std::string_view line) {
       if (auto err = string_field("solver", request.solver, false)) {
         return *err;
       }
-      if (auto err = int_field("solver_threads", 1, 4096,
-                               request.solver_threads)) {
-        return *err;
-      }
+      if (auto err = ignored_threads_field("solver_threads")) return *err;
       if (auto err = number_field("deadline_ms", 0.0, request.deadline_ms)) {
         return *err;
       }
@@ -318,11 +317,8 @@ ParseResult parse_request(std::string_view line) {
                     "field 'objective' must be power, gpower, delaycap, "
                     "alpha-fair or power-fair-constrained");
       }
-      if (auto err = int_field("solver_threads", 1, 4096,
-                               request.solver_threads)) {
-        return *err;
-      }
-      if (auto err = ignored_threads_field()) return *err;
+      if (auto err = ignored_threads_field("solver_threads")) return *err;
+      if (auto err = ignored_threads_field("threads")) return *err;
       if (auto err = int_field("max_window", 1, 1 << 20,
                                request.max_window)) {
         return *err;
@@ -361,11 +357,8 @@ ParseResult parse_request(std::string_view line) {
       if (auto err = string_field("solver", request.solver, false)) {
         return *err;
       }
-      if (auto err = int_field("solver_threads", 1, 4096,
-                               request.solver_threads)) {
-        return *err;
-      }
-      if (auto err = ignored_threads_field()) return *err;
+      if (auto err = ignored_threads_field("solver_threads")) return *err;
+      if (auto err = ignored_threads_field("threads")) return *err;
       if (auto err = int_field("max_window", 1, 1 << 20,
                                request.max_window)) {
         return *err;

@@ -5,15 +5,14 @@
 // loudly instead of silently changing meaning):
 //
 //   {"op":"evaluate","spec":"node A\n...","windows":[3,2],
-//    "solver":"heuristic-mva","solver_threads":2,"deadline_ms":250,
-//    "id":7}
+//    "solver":"heuristic-mva","deadline_ms":250,"id":7}
 //   {"op":"dimension","spec":"...","solver":"auto","max_window":64,
 //    "objective":"power","power_exponent":1.0,"max_delay":0.5,
-//    "alpha":1,"min_fairness":0.8,"threads":1,"solver_threads":1,
-//    "max_evals":100000,"deadline_ms":1000,"id":"job-12"}
+//    "alpha":1,"min_fairness":0.8,"max_evals":100000,
+//    "deadline_ms":1000,"id":"job-12"}
 //   {"op":"pareto","spec":"...","solver":"auto","max_window":64,
-//    "points":9,"min_fairness":0.5,"alpha":"inf","threads":1,
-//    "solver_threads":1,"max_evals":100000,"deadline_ms":5000,"id":8}
+//    "points":9,"min_fairness":0.5,"alpha":"inf","max_evals":100000,
+//    "deadline_ms":5000,"id":8}
 //   {"op":"scenario","spec":"...","policies":["static","aimd"],
 //    "scenarios":["stationary","ramp"],"sim_time":120,"warmup":12,
 //    "seed":1,"jobs":4,"max_window":64,"solver":"heuristic-mva",
@@ -26,9 +25,10 @@
 //   {"op":"dump","id":12}
 //   {"op":"shutdown","id":5}
 //
-// "threads" (dimension, pareto) is range-checked and ignored: searches
-// are sequential.  "solver_threads" > 1 runs chain-block sweeps on the
-// server's one shared sweep pool; replies are identical either way.
+// "threads" (dimension, pareto) and "solver_threads" (evaluate,
+// dimension, pareto) are range-checked and ignored: a search and each
+// of its solves run serially on one worker thread, since splitting a
+// sweep's chains across threads paid under 2x even at 10k chains.
 //
 // Reply: exactly one line per request line, in request order per
 // connection, always one of
@@ -111,9 +111,6 @@ struct Request {
   std::string spec;               // network spec text
   std::vector<int> windows;       // evaluate only
   std::string solver;             // empty = op default
-  /// Values above 1 run chain-block sweeps on the server's shared sweep
-  /// pool (bit-identical to serial, so the reply does not change).
-  int solver_threads = 1;
   int max_window = 64;            // dimension
   std::string objective = "power";
   double power_exponent = 1.0;

@@ -232,7 +232,6 @@ bool write_all(int fd, std::string_view data) {
 Server::Server(ServeOptions options)
     : options_(options),
       pool_(util::resolve_thread_count(options.threads)),
-      sweep_pool_(util::resolve_thread_count(0)),
       cache_(options.cache_capacity),
       clock_(options.clock != nullptr ? options.clock
                                       : &obs::steady_window_clock()),
@@ -497,8 +496,7 @@ std::string Server::run_evaluate(const Request& request,
     trace.spans.push_back(
         {"workspace_lease", lease_start, sc->now_us() - lease_start});
   }
-  // Caller-owned hints evaluate_with preserves across its reset.
-  ws->hints.pool = sweep_pool(request);
+  // A caller-owned hint evaluate_with preserves across its reset.
   ws->hints.cancel = deadline.get();
   std::optional<core::Evaluation> solved;
   {
@@ -527,7 +525,6 @@ std::string Server::run_dimension(const Request& request,
   core::DimensionOptions opts;
   if (!request.solver.empty()) opts.solver = request.solver;
   opts.max_window = request.max_window;
-  opts.solver_pool = sweep_pool(request);
   opts.power_exponent = request.power_exponent;
   opts.max_delay = request.max_delay;
   if (request.max_evals > 0) opts.max_evaluations = request.max_evals;
@@ -599,7 +596,6 @@ std::string Server::run_pareto(const Request& request, RequestTrace& trace) {
   core::ParetoOptions popts;
   if (!request.solver.empty()) popts.base.solver = request.solver;
   popts.base.max_window = request.max_window;
-  popts.base.solver_pool = sweep_pool(request);
   if (request.max_evals > 0) popts.base.max_evaluations = request.max_evals;
   popts.base.workspaces = &workspaces_;
   popts.base.cancel = deadline.get();

@@ -1,9 +1,9 @@
 // The `windim serve` daemon: a long-lived request-batching front end
 // over the compile-once/solve-many engine.
 //
-// One Server owns the LRU model cache, the worker pool, one chain-block
-// sweep pool and a shared WorkspacePool; concurrent requests batch onto
-// the worker pool with per-request workspace leases, so the warm-path
+// One Server owns the LRU model cache, the worker pool and a shared
+// WorkspacePool; concurrent requests batch onto the worker pool with
+// per-request workspace leases, so the warm-path
 // allocation guarantees of the engine survive intact under a mixed
 // request stream.
 //
@@ -223,18 +223,8 @@ class Server {
   }
   void append_window_gauges(std::vector<obs::ExpoGauge>& out);
 
-  /// The shared sweep pool for a request that asks for parallel
-  /// chain-block sweeps (solver_threads > 1), else null.
-  [[nodiscard]] util::ThreadPool* sweep_pool(const Request& request) {
-    return request.solver_threads > 1 ? &sweep_pool_ : nullptr;
-  }
-
   ServeOptions options_;
   util::ThreadPool pool_;
-  /// One chain-block sweep pool for every request, sized to the
-  /// hardware: a request's solver_threads only switches it on, so no
-  /// request can make the daemon spawn threads.
-  util::ThreadPool sweep_pool_;
   ModelCache cache_;
   solver::WorkspacePool workspaces_;
   std::atomic<bool> shutting_down_{false};

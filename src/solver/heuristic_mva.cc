@@ -3,23 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
-#include <vector>
 
 #include "obs/convergence.h"
-#include "util/thread_pool.h"
 
 namespace windim::solver {
-namespace {
-
-// Chains per block in the chain-parallel STEP 2 dispatch, and the chain
-// count below which the sweep stays serial even with a pool attached
-// (block bookkeeping would cost more than it buys on small models).
-constexpr int kParallelChainThreshold = 256;
-constexpr int kMinChainsPerBlock = 64;
-
-}  // namespace
 
 // The iteration below is mva::solve_approx_mva on the CompiledModel's
 // visited cells.  Every value is computed with the same operations as
@@ -58,10 +46,7 @@ constexpr int kMinChainsPerBlock = 64;
 // are sorted most-populated first once per solve, so a level visits
 // only the chains still below their population and a refresh costs
 // O(sum_r E_r * hops); their cells are copied into contiguous "slots"
-// chain after chain, so a level reads no index.  The same routine runs
-// the whole chain range serially or one block per SolveHints::pool
-// job; chains are independent given busy[], so block partitioning
-// never changes a bit.
+// chain after chain, so a level reads no index.
 Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
                                    const PopulationVector& population,
                                    Workspace& ws) const {
@@ -91,20 +76,6 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     }
   }
 
-  // Chain-block dispatch geometry, fixed for the whole solve.
-  util::ThreadPool* pool = ws.hints.pool;
-  std::size_t num_blocks = 1;
-  if (policy_ == mva::SigmaPolicy::kChanSingleChain && pool != nullptr &&
-      pool->num_threads() > 1 && num_chains >= kParallelChainThreshold) {
-    const std::size_t by_size =
-        static_cast<std::size_t>((num_chains + kMinChainsPerBlock - 1) /
-                                 kMinChainsPerBlock);
-    num_blocks = std::min(pool->num_threads() * 2, by_size);
-    num_blocks = std::max<std::size_t>(num_blocks, 1);
-  }
-  const std::size_t chunk =
-      (static_cast<std::size_t>(num_chains) + num_blocks - 1) / num_blocks;
-
   const std::size_t visited = model.visited_cell_count();
   if (warm_start != nullptr &&
       (warm_start->lambda.size() != static_cast<std::size_t>(num_chains) ||
@@ -128,23 +99,16 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
   std::span<double> lambda_sigma = ws.doubles(num_chains);
   std::span<double> busy = ws.doubles(num_stations);
   // Sigma subproblem layout, fixed for the solve: the chains in `order`,
-  // dispatch blocks of `chunk` chains each sorted most-populated first
-  // (idle chains last), and their cells laid out in slots chain after
-  // chain, each chain's in ascending station order, so that one chain's
-  // subproblem is one contiguous slot range.
+  // sorted most-populated first (idle chains last), and their cells laid
+  // out in slots chain after chain, each chain's in ascending station
+  // order, so that one chain's subproblem is one contiguous slot range.
   std::span<int> order = ws.ints(num_chains);
   for (int r = 0; r < num_chains; ++r) order[static_cast<std::size_t>(r)] = r;
-  for (std::size_t begin = 0; begin < order.size(); begin += chunk) {
-    const auto end = order.begin() +
-                     static_cast<std::ptrdiff_t>(
-                         std::min(order.size(), begin + chunk));
-    std::sort(order.begin() + static_cast<std::ptrdiff_t>(begin), end,
-              [&](int a, int b) {
-                const int pa = population[static_cast<std::size_t>(a)];
-                const int pb = population[static_cast<std::size_t>(b)];
-                return pa != pb ? pa > pb : a < b;
-              });
-  }
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const int pa = population[static_cast<std::size_t>(a)];
+    const int pb = population[static_cast<std::size_t>(b)];
+    return pa != pb ? pa > pb : a < b;
+  });
   std::span<int> slot_begin = ws.ints(order.size() + 1);  // per position
   std::span<int> slot_cell = ws.ints(visited);
   std::span<int> slot_delay = ws.ints(visited);
@@ -223,8 +187,7 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
 
   // The thesis-heuristic sigma update (STEP 2 body) of the chains
   // order[begin, end).  Reads lambda/busy (stable during a sweep) and
-  // writes only those chains' cells — the independence that makes
-  // chain-block dispatch deterministic.
+  // writes only those chains' cells.
   const auto chan_sigma = [&](std::size_t begin, std::size_t end) {
     while (end > begin &&
            population[static_cast<std::size_t>(order[end - 1])] == 0) {
@@ -345,18 +308,7 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
             busy[static_cast<std::size_t>(n)] = b;
           }
         }
-        if (num_blocks <= 1) {
-          chan_sigma(0, order.size());
-        } else {
-          std::vector<std::function<void()>> jobs;
-          jobs.reserve(num_blocks);
-          for (std::size_t begin = 0; begin < order.size(); begin += chunk) {
-            const std::size_t end = std::min(order.size(), begin + chunk);
-            jobs.push_back(
-                [begin, end, &chan_sigma] { chan_sigma(begin, end); });
-          }
-          pool->run_batch(std::move(jobs));
-        }
+        chan_sigma(0, order.size());
       }
     }
     if (refresh_sigma && lazy_sigma) {

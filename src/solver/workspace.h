@@ -47,10 +47,6 @@ namespace windim::obs {
 class ConvergenceRecorder;  // obs/convergence.h
 }  // namespace windim::obs
 
-namespace windim::util {
-class ThreadPool;  // util/thread_pool.h
-}  // namespace windim::util
-
 namespace windim::solver {
 
 /// Optional per-solve inputs the uniform Solver interface cannot carry
@@ -73,19 +69,12 @@ struct SolveHints {
   /// solver's own default.  Exceeding it throws std::runtime_error,
   /// which applicability-probing callers treat as "skip".
   std::size_t max_states = 0;
-  /// Optional worker pool for chain-block-parallel MVA sweeps.  Null
-  /// (the default) keeps every sweep serial.  The parallel sweep
-  /// partitions chains into fixed blocks whose per-chain results are
-  /// independent, so the output is bit-identical to the serial sweep
-  /// for any pool size.  The pool is
-  /// borrowed, not owned, and must outlive the solve.
-  util::ThreadPool* pool = nullptr;
   /// Cooperative stop signal (util/cancel.h).  Iterative solvers poll
   /// it once per sweep and throw util::CancelledError when it has
   /// expired — a mid-solve abort has no partial Solution worth
   /// returning.  Borrowed, must outlive the solve; null disables the
-  /// polling.  Like `pool`, this is a caller-owned hint: the
-  /// evaluation engine preserves it across its per-solve hint resets.
+  /// polling.  This is a caller-owned hint: the evaluation engine
+  /// preserves it across its per-solve hint resets.
   const util::CancelToken* cancel = nullptr;
 };
 

@@ -146,8 +146,7 @@ DimensionResult dimension_windows(const WindowProblem& problem,
         warm ? store.nearest_anchor(e) : nullptr;
     entry.anchor = anchor;
     auto ws = workspaces.acquire();
-    // Caller-owned hints evaluate_with preserves across its reset.
-    ws->hints.pool = options.solver_pool;
+    // A caller-owned hint evaluate_with preserves across its reset.
     ws->hints.cancel = options.cancel;
     // One recorder per evaluation (recorders are single-solve).
     std::optional<obs::ConvergenceRecorder> recorder;

@@ -10,8 +10,7 @@
 // thread, each evaluation warm-started from the nearest base point
 // accepted so far.  F(E) is therefore a pure function of E and the
 // options, and every trace, log and counter of a run is identical on
-// any machine.  The only parallelism is inside a solve: the chain-block
-// sweeps of DimensionOptions::solver_pool, bit-identical to serial.
+// any machine.  Each solve is serial too (solver/heuristic_mva.cc).
 //
 // Observation is one switch and one record: an observed run
 // (DimensionOptions::observe) returns one obs::ProbeRecord per resolved
@@ -29,10 +28,6 @@
 #include "solver/workspace.h"
 #include "windim/objectives.h"
 #include "windim/problem.h"
-
-namespace windim::util {
-class ThreadPool;  // util/thread_pool.h
-}  // namespace windim::util
 
 namespace windim::core {
 
@@ -70,13 +65,6 @@ struct DimensionOptions {
   /// Pattern-search step schedule (see search::PatternSearchOptions).
   std::vector<int> initial_step;
   int max_step_reductions = 4;
-  /// Optional caller-owned pool for the chain-block-parallel MVA sweeps
-  /// inside each evaluation (SolveHints::pool).  The sweep partitioning
-  /// is bit-identical to the serial sweep for any pool size, so this is
-  /// purely a wall-clock knob for continental-scale models (it engages
-  /// from solver/heuristic_mva.cc's chain threshold up).  Null keeps
-  /// every sweep serial.
-  util::ThreadPool* solver_pool = nullptr;
   /// Seed each heuristic-MVA evaluation from the converged state of the
   /// nearest already-accepted base point (fewer fixed-point iterations
   /// for the neighboring probes pattern search generates).  Only

@@ -25,10 +25,10 @@
 namespace windim::core {
 
 struct ParetoOptions {
-  /// Per-solve engine configuration (solver, bounds, sweep
-  /// pool, budget, workspaces, cancel...).  `base.objective`, `base.
-  /// min_fairness` and `base.initial_windows` are overridden by the
-  /// scan; everything else applies to every solve.
+  /// Per-solve engine configuration (solver, bounds, budget,
+  /// workspaces, cancel...).  `base.objective`, `base.min_fairness` and
+  /// `base.initial_windows` are overridden by the scan; everything else
+  /// applies to every solve.
   DimensionOptions base;
   /// Fairness floors to scan (>= 2).  More floors = a denser front at
   /// linear cost.

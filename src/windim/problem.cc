@@ -128,16 +128,14 @@ Evaluation WindowProblem::evaluate_with(
       traits.semiclosed_view ? compiled_semi_ : compiled_;
   const int num_chains = model.num_chains();
 
-  // Per-solve hints are rebuilt from the arguments; `pool` and `cancel`
-  // are caller-owned and survive the rebuild (the --solver-threads and
-  // deadline plumbing set them on the workspace before calling here).
-  util::ThreadPool* const pool = ws.hints.pool;
+  // Per-solve hints are rebuilt from the arguments; `cancel` is
+  // caller-owned and survives the rebuild (the deadline plumbing sets it
+  // on the workspace before calling here).
   const util::CancelToken* const cancel = ws.hints.cancel;
   ws.hints = solver::SolveHints{};
   if (traits.supports_warm_start) ws.hints.warm_start = warm_start;
   ws.hints.mva = mva_options;
   ws.hints.convergence = convergence;
-  ws.hints.pool = pool;
   ws.hints.cancel = cancel;
   const solver::Solution sol = solver.solve_profiled(model, windows, ws);
   ws.hints = solver::SolveHints{};

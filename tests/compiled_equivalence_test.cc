@@ -33,7 +33,6 @@
 #include "qn/compiled_model.h"
 #include "solver/registry.h"
 #include "solver/workspace.h"
-#include "util/thread_pool.h"
 #include "verify/corpus.h"
 #include "verify/gen.h"
 
@@ -337,49 +336,6 @@ TEST(CompiledEquivalence, WarmStartWithIdleChainsMatchesLegacyBitForBit) {
   ASSERT_EQ(kernel.sigma.size(), legacy.sigma.size());
   for (std::size_t i = 0; i < legacy.sigma.size(); ++i) {
     ASSERT_EQ(kernel.sigma[i], legacy.sigma[i]) << "sigma[" << i << "]";
-  }
-}
-
-TEST(CompiledEquivalence, ChainBlockPoolSweepIsBitIdenticalToSerial) {
-  // Serial-replay determinism of the parallel STEP 2 dispatch: any pool
-  // size must give EXACTLY the serial results (same blocks, same
-  // per-chain arithmetic, disjoint writes).
-  verify::GenOptions opt;
-  opt.large_chains = 1000;
-  const verify::Instance inst =
-      verify::generate(verify::Family::kLargeCyclic, 7, opt);
-  const qn::CompiledModel compiled = qn::CompiledModel::compile(inst.model);
-  const std::vector<int> population(compiled.base_populations().begin(),
-                                    compiled.base_populations().end());
-  const solver::Solver& s =
-      solver::SolverRegistry::instance().require("heuristic-mva");
-
-  solver::Workspace serial_ws;
-  const solver::Solution serial = s.solve(compiled, population, serial_ws);
-
-  for (const std::size_t threads : {2u, 5u}) {
-    util::ThreadPool pool(threads);
-    solver::Workspace pool_ws;
-    pool_ws.hints.pool = &pool;
-    const solver::Solution parallel = s.solve(compiled, population, pool_ws);
-    EXPECT_EQ(parallel.iterations, serial.iterations) << threads;
-    EXPECT_EQ(parallel.converged, serial.converged) << threads;
-    ASSERT_EQ(parallel.chain_throughput.size(),
-              serial.chain_throughput.size());
-    for (std::size_t i = 0; i < serial.chain_throughput.size(); ++i) {
-      ASSERT_EQ(parallel.chain_throughput[i], serial.chain_throughput[i])
-          << "throughput[" << i << "] with " << threads << " threads";
-    }
-    ASSERT_EQ(parallel.mean_queue.size(), serial.mean_queue.size());
-    for (std::size_t i = 0; i < serial.mean_queue.size(); ++i) {
-      ASSERT_EQ(parallel.mean_queue[i], serial.mean_queue[i])
-          << "queue[" << i << "] with " << threads << " threads";
-    }
-    ASSERT_EQ(parallel.sigma.size(), serial.sigma.size());
-    for (std::size_t i = 0; i < serial.sigma.size(); ++i) {
-      ASSERT_EQ(parallel.sigma[i], serial.sigma[i])
-          << "sigma[" << i << "] with " << threads << " threads";
-    }
   }
 }
 

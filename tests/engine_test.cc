@@ -20,7 +20,6 @@
 #include "qn/cyclic.h"
 #include "search/pattern_search.h"
 #include "solver/registry.h"
-#include "sweep_fixture.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "windim/dimension.h"
@@ -183,30 +182,6 @@ core::WindowProblem two_class_problem() {
 core::WindowProblem four_class_problem() {
   return core::WindowProblem(net::canada_topology(),
                              net::four_class_traffic(6.0, 6.0, 6.0, 12.0));
-}
-
-void expect_same_result(const core::DimensionResult& a,
-                        const core::DimensionResult& b) {
-  EXPECT_EQ(a.optimal_windows, b.optimal_windows);
-  EXPECT_EQ(a.base_points, b.base_points);
-  EXPECT_NEAR(a.evaluation.power, b.evaluation.power,
-              1e-9 * std::max(1.0, std::abs(a.evaluation.power)));
-}
-
-TEST(DimensionEngineTest, SweepPoolRunMatchesSerial) {
-  // Chain-block-parallel sweeps are the one parallel axis of a run; on a
-  // model past the block threshold they must not move any result bit.
-  const core::WindowProblem problem = test::sweep_problem();
-  const core::DimensionResult serial =
-      dimension_windows(problem, test::sweep_options(nullptr));
-  util::ThreadPool pool(4);
-  const core::DimensionResult pooled =
-      dimension_windows(problem, test::sweep_options(&pool));
-  expect_same_result(serial, pooled);
-  EXPECT_EQ(serial.evaluation.power, pooled.evaluation.power);
-  EXPECT_EQ(serial.objective_evaluations, pooled.objective_evaluations);
-  EXPECT_EQ(serial.cache_hits, pooled.cache_hits);
-  EXPECT_EQ(serial.objective_evaluations, test::kSweepEvaluations);
 }
 
 TEST(DimensionEngineTest, WarmStartMatchesColdStart) {

@@ -1,9 +1,7 @@
 // The observability layer: MetricsRegistry semantics (cross-thread
 // merge, snapshot isolation, reset, disabled-mode no-ops), the JSON
-// writer, the probe record of an observed run and its search-trace
-// renderer, and the determinism contract — the JSONL trace of a
-// dimensioning run is byte-identical with and without a chain-block
-// sweep pool.
+// writer, and the probe record of an observed run and its search-trace
+// renderer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +15,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/probe.h"
-#include "sweep_fixture.h"
 #include "util/thread_pool.h"
 #include "windim/dimension.h"
 #include "windim/problem.h"
@@ -280,22 +277,15 @@ TEST(SearchTraceTest, JsonlHasFixedFieldOrder) {
             "\"anchor\":[2,4],\"thread\":0}\n");
 }
 
-// ------------------------------------------- trace determinism contract
-
-std::string trace_of_run(const core::WindowProblem& problem,
-                         core::DimensionOptions options,
-                         core::DimensionResult* result_out = nullptr) {
-  options.observe = true;
-  const core::DimensionResult result = dimension_windows(problem, options);
-  if (result_out != nullptr) *result_out = result;
-  return obs::search_trace_jsonl(result.probes);
-}
+// ------------------------------------------------- observed runs
 
 TEST(SearchTraceTest, DimensionTraceHasOneRecordPerProbe) {
   const core::WindowProblem problem(net::canada_topology(),
                                     net::two_class_traffic(20.0, 20.0));
-  core::DimensionResult result;
-  const std::string trace = trace_of_run(problem, {}, &result);
+  core::DimensionOptions options;
+  options.observe = true;
+  const core::DimensionResult result = dimension_windows(problem, options);
+  const std::string trace = obs::search_trace_jsonl(result.probes);
   ASSERT_FALSE(trace.empty());
   // One record per resolved probe: evaluations + revisits.
   EXPECT_EQ(result.probes.size(),
@@ -303,15 +293,6 @@ TEST(SearchTraceTest, DimensionTraceHasOneRecordPerProbe) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(trace.begin(), trace.end(), '\n')),
             result.probes.size());
-}
-
-TEST(SearchTraceTest, TraceIsByteIdenticalWithAndWithoutSweepPool) {
-  const core::WindowProblem problem = test::sweep_problem();
-  const std::string serial =
-      trace_of_run(problem, test::sweep_options(nullptr));
-  ASSERT_FALSE(serial.empty());
-  util::ThreadPool pool(4);
-  EXPECT_EQ(serial, trace_of_run(problem, test::sweep_options(&pool)));
 }
 
 TEST(SearchTraceTest, ProbeRecordsCarrySolverAnchorsAndSolves) {

@@ -8,8 +8,6 @@
 #include <stdexcept>
 
 #include "search/exhaustive.h"
-#include "sweep_fixture.h"
-#include "util/thread_pool.h"
 #include "windim/windim.h"
 
 namespace windim::core {
@@ -44,18 +42,6 @@ TEST(ParetoFrontTest, FourClassFrontIsNonDominatedAndSorted) {
     EXPECT_LE(p.fairness, 1.0);
     EXPECT_DOUBLE_EQ(p.power, p.evaluation.power);
   }
-}
-
-TEST(ParetoFrontTest, SerializedFrontIsSweepPoolInvariant) {
-  const WindowProblem problem = test::sweep_problem();
-  ParetoOptions serial;
-  serial.base = test::sweep_options(nullptr);
-  serial.num_points = 2;
-  util::ThreadPool pool(4);
-  ParetoOptions pooled = serial;
-  pooled.base.solver_pool = &pool;
-  const std::string serial_json = to_json(pareto_front(problem, serial));
-  EXPECT_EQ(serial_json, to_json(pareto_front(problem, pooled)));
 }
 
 TEST(ParetoFrontTest, EveryPointReproducesFromItsRecordedSeed) {

@@ -5,8 +5,9 @@
 // are sequential) made observable.  Also pins the cache
 // accounting identity hits + misses == compile lookups, the
 // per-connection reply ordering of the pipelined stream loop, and (on
-// Linux) that a request's solver_threads cannot make the server spawn
-// threads and that the socket daemon reaps finished connections.
+// Linux) that a server starts only its request workers, that a
+// request's solver_threads cannot make it spawn threads and that the
+// socket daemon reaps finished connections.
 //
 // Runs under TSan in CI (the tsan job executes the full ctest suite).
 #include <gtest/gtest.h>
@@ -199,9 +200,17 @@ std::size_t live_threads() {
   return n;
 }
 
+TEST(ServeConcurrency, ServerStartsOnlyItsRequestWorkers) {
+  // Searches and their solves are serial on one worker, so a server
+  // built with two workers adds exactly two threads to the process.
+  const std::size_t before = live_threads();
+  const serve::Server server(options_with(2));
+  EXPECT_EQ(live_threads(), before + 2);
+}
+
 TEST(ServeConcurrency, SolverThreadsRequestsSpawnNoThreads) {
-  // solver_threads only switches on the server's one shared sweep pool,
-  // so a client asking for 4096 cannot make the daemon spawn threads.
+  // solver_threads is range-checked and ignored, so a client asking for
+  // 4096 cannot make the daemon spawn threads.
   const std::size_t before = live_threads();
   constexpr int kWorkers = 2;
   serve::Server server(options_with(kWorkers));
@@ -235,11 +244,10 @@ TEST(ServeConcurrency, SolverThreadsRequestsSpawnNoThreads) {
     ++ok;
   }
   EXPECT_EQ(ok, kRequests);
-  // Request workers + the hardware-sized sweep pool + the sampler, plus
-  // a little slack for runtime helpers (the socketpair client is one).
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  // Request workers + the sampler, plus a little slack for runtime
+  // helpers (the socketpair client is one).
   constexpr std::size_t kSlack = 4;
-  EXPECT_LE(peak, before + kWorkers + hw + 1 + kSlack);
+  EXPECT_LE(peak, before + kWorkers + 1 + kSlack);
 }
 
 /// Mappings of this process right now (one /proc/self/maps line each; a

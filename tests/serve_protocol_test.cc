@@ -208,9 +208,18 @@ TEST(ServeProtocol, BadValuesAreTypedErrors) {
       {"{\"op\":\"dimension\",\"spec\":\"" + spec +
            "\",\"objective\":\"delaycap\"}",
        "invalid_request"},
-      // non-positive thread counts are rejected at the schema
+      // ignored thread counts are still range-checked at the schema
       {"{\"op\":\"evaluate\",\"spec\":\"" + spec +
            "\",\"windows\":[1,1],\"solver_threads\":0}",
+       "invalid_request"},
+      {"{\"op\":\"evaluate\",\"spec\":\"" + spec +
+           "\",\"windows\":[1,1],\"solver_threads\":4097}",
+       "invalid_request"},
+      {"{\"op\":\"dimension\",\"spec\":\"" + spec +
+           "\",\"solver_threads\":0}",
+       "invalid_request"},
+      {"{\"op\":\"pareto\",\"spec\":\"" + spec +
+           "\",\"solver_threads\":4097}",
        "invalid_request"},
       // corpus entry text that is not a corpus entry
       {"{\"op\":\"fuzz-replay\",\"entry\":\"bogus\"}", "invalid_spec"},
@@ -220,6 +229,30 @@ TEST(ServeProtocol, BadValuesAreTypedErrors) {
     EXPECT_FALSE(reply.find("ok")->boolean) << c.line;
     EXPECT_EQ(error_code(reply), c.code) << c.line;
     expect_alive(server);
+  }
+}
+
+TEST(ServeProtocol, IgnoredThreadFieldsLeaveTheReplyUnchanged) {
+  // "threads" and "solver_threads" are accepted and ignored: a request
+  // that sets them to their maximum gets the bytes of one without them.
+  serve::Server server(serial_options());
+  const std::string spec = json_escape(kSpec);
+  const struct {
+    std::string fields;
+    const char* ignored;
+  } cases[] = {
+      {"\"op\":\"evaluate\",\"spec\":\"" + spec + "\",\"windows\":[2,1]",
+       ",\"solver_threads\":4096"},
+      {"\"op\":\"dimension\",\"spec\":\"" + spec + "\",\"max_window\":8",
+       ",\"solver_threads\":4096,\"threads\":4096"},
+      {"\"op\":\"pareto\",\"spec\":\"" + spec + "\",\"points\":2",
+       ",\"solver_threads\":4096,\"threads\":4096"},
+  };
+  for (const auto& c : cases) {
+    const std::string plain = server.handle_line("{" + c.fields + "}").json;
+    EXPECT_NE(plain.find("\"ok\":true"), std::string::npos) << plain;
+    EXPECT_EQ(server.handle_line("{" + c.fields + c.ignored + "}").json,
+              plain);
   }
 }
 

@@ -1,13 +1,9 @@
 // Hierarchical span tracing: Scope nesting and the disabled-guard
 // contract, Chrome trace-event JSON structure (metadata first, complete
 // events with depth as the first arg), correctly nested depths per
-// track, that only an observed run records spans, and the headline
-// determinism property — the span trace of a dimensioning run is
-// byte-identical with and without a chain-block sweep pool once
-// timestamps and durations are normalized.
+// track, and that only an observed run records spans.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -16,8 +12,6 @@
 #include "net/examples.h"
 #include "obs/json.h"
 #include "obs/span.h"
-#include "sweep_fixture.h"
-#include "util/thread_pool.h"
 #include "windim/windim.h"
 
 namespace windim {
@@ -26,51 +20,19 @@ namespace {
 using obs::SpanEvent;
 using obs::SpanTracer;
 
-/// Replaces the numeric value after every "ts": and "dur": key with 0,
-/// leaving everything else byte-for-byte intact.
-std::string normalize_times(const std::string& json) {
-  std::string out;
-  out.reserve(json.size());
-  std::size_t i = 0;
-  while (i < json.size()) {
-    bool replaced = false;
-    for (const char* key : {"\"ts\":", "\"dur\":"}) {
-      const std::size_t len = std::char_traits<char>::length(key);
-      if (json.compare(i, len, key) == 0) {
-        out.append(key);
-        i += len;
-        while (i < json.size() &&
-               (std::isdigit(static_cast<unsigned char>(json[i])) != 0 ||
-                json[i] == '.' || json[i] == '-' || json[i] == '+' ||
-                json[i] == 'e' || json[i] == 'E')) {
-          ++i;
-        }
-        out.push_back('0');
-        replaced = true;
-        break;
-      }
-    }
-    if (!replaced) {
-      out.push_back(json[i]);
-      ++i;
-    }
-  }
-  return out;
-}
-
-/// The process-wide tracer's JSON for one dimensioning run (observed
-/// unless `observe` is false), starting from and leaving an empty,
-/// disabled tracer.
-std::string traced_dimension_json(
-    const core::WindowProblem& problem = core::WindowProblem(
-        net::canada_topology(), net::four_class_traffic(6, 6, 6, 12)),
-    core::DimensionOptions options = {}, bool observe = true) {
+/// The process-wide tracer's JSON for one dimensioning run of canada4
+/// (observed unless `observe` is false), starting from and leaving an
+/// empty, disabled tracer.
+std::string traced_dimension_json(bool observe = true) {
   SpanTracer& tracer = SpanTracer::global();
   tracer.clear();
   tracer.set_enabled(true);
+  core::DimensionOptions options;
   options.observe = observe;
-  const core::DimensionResult result =
-      core::dimension_windows(problem, options);
+  const core::DimensionResult result = core::dimension_windows(
+      core::WindowProblem(net::canada_topology(),
+                          net::four_class_traffic(6, 6, 6, 12)),
+      options);
   EXPECT_FALSE(result.optimal_windows.empty());
   tracer.set_enabled(false);
   std::string json = tracer.to_json();
@@ -202,10 +164,7 @@ TEST(SpanTracer, DepthsFormAValidForestPerTrack) {
 TEST(SpanTracer, UnobservedRunRecordsNoSpans) {
   // Scenario cells, Pareto scans and serve requests run unobserved: an
   // enabled process-wide tracer must not collect their search spans.
-  const std::string json = traced_dimension_json(
-      core::WindowProblem(net::canada_topology(),
-                          net::four_class_traffic(6, 6, 6, 12)),
-      {}, /*observe=*/false);
+  const std::string json = traced_dimension_json(/*observe=*/false);
   const auto parsed = obs::parse_json(json);
   ASSERT_TRUE(parsed.has_value());
   const obs::JsonValue* events = parsed->find("traceEvents");
@@ -213,20 +172,6 @@ TEST(SpanTracer, UnobservedRunRecordsNoSpans) {
   // Only the process_name metadata entry: no track, no span.
   ASSERT_EQ(events->array.size(), 1u);
   EXPECT_EQ(events->array[0].string_or("name", ""), "process_name");
-}
-
-TEST(SpanTracer, TraceIsByteIdenticalWithAndWithoutSweepPool) {
-  // The acceptance property: spans are only opened on the search's own
-  // thread and the probe subtree is synthesized from the probe stream,
-  // so a run with a chain-block sweep pool differs from one without
-  // ONLY in measured times.
-  const core::WindowProblem problem = test::sweep_problem();
-  const std::string serial = normalize_times(
-      traced_dimension_json(problem, test::sweep_options(nullptr)));
-  util::ThreadPool pool(4);
-  const std::string pooled = normalize_times(
-      traced_dimension_json(problem, test::sweep_options(&pool)));
-  EXPECT_EQ(serial, pooled);
 }
 
 }  // namespace
