@@ -8,6 +8,10 @@ each binary:
 
   - the request pools of the interactive and pipelined-mix workloads of
     perfbench/workloads.py for seeds 1 and 101, and
+  - evaluates of one cached spec re-sent with only its formatting
+    changed (blank lines, indentation, a comment), then in its original
+    text again, so the model cache's exact-text alias moves between
+    texts of one entry;
   - one line per op and per error class one session can reach: every
     dimension objective, pareto, scenario, fuzz-replay, the stats,
     trace, metrics and dump ops, and a final shutdown; parse_error,
@@ -51,6 +55,14 @@ MEASURED_KEYS = {"sum", "max_observed", "counts", "start_us", "total_us",
 SPEC = ("node A\nnode B\nnode C\nchannel A B 50\nchannel B C 50\n"
         "class east rate 20 path A B C\nclass west rate 10 path C B\n")
 MAX_REQUEST_BYTES = 1 << 20  # the daemon's default cap
+# SPEC with only its formatting changed: each canonicalizes to SPEC.
+REFORMATTED_SPECS = (
+    ("blank lines", SPEC.replace("\nchannel A B", "\n\n\nchannel A B")
+     + "\n"),
+    ("indentation", "".join("  " + row + "\n"
+                            for row in SPEC.splitlines())),
+    ("a comment", "# three nodes, two classes\n" + SPEC),
+)
 
 
 def line(**fields):
@@ -64,6 +76,13 @@ def op_lines():
         entry = f.read()
     cases = [
         ("evaluate", line(op="evaluate", spec=SPEC, windows=[3, 2], id=1)),
+    ]
+    cases += [(f"evaluate, spec with {how}",
+               line(op="evaluate", spec=text, windows=[3, 2], id=30 + i))
+              for i, (how, text) in enumerate(REFORMATTED_SPECS)]
+    cases += [
+        ("evaluate, spec as first sent",
+         line(op="evaluate", spec=SPEC, windows=[3, 2], id=33)),
         ("dimension power", line(op="dimension", spec=SPEC, id=2)),
         ("dimension gpower", line(op="dimension", spec=SPEC,
                                   objective="gpower", power_exponent=2,

@@ -9,6 +9,9 @@ drives one client session through every reply class the protocol
 defines:
 
   1. a well-formed evaluate        -> ok reply with the evaluation body;
+  1b. 20 evaluates, each sent only after the previous reply arrived:
+     all 20 round trips within 0.5 s (a reply left to the connection
+     loop's 50 ms poll timeout would take ~1 s);
   2. non-JSON garbage              -> parse_error, null id, daemon alive;
   3. an unknown op                 -> invalid_request with the id echoed;
   4. an unknown solver             -> unknown_solver listing the registry;
@@ -63,8 +66,8 @@ defines:
 With --stdio, boots `serve --stdio --max-request-bytes=1024` on pipes
 and checks what the connection loop owes a client of stdin/stdout:
 
-  1. three evaluate round trips, each line sent only after the previous
-     reply arrived; every reply must come within 1 s;
+  1. 20 evaluate round trips, each line sent only after the previous
+     reply arrived: all 20 within 0.5 s;
   2. 4 MiB of one unterminated line: payload_too_large must arrive
      before the line's newline is sent, and a following evaluate is
      still answered;
@@ -91,6 +94,10 @@ import time
 SPEC = "node A\nnode B\nnode C\nchannel A B 50\nchannel B C 50\n" \
        "class east rate 20 path A B C\nclass west rate 10 path C B\n"
 SPEC4 = SPEC + "class up rate 5 path A B\nclass down rate 5 path C B A\n"
+# A client that waits for each reply: WAITING_ROUND_TRIPS of them must
+# finish within WAITING_BUDGET_S, on either transport.
+WAITING_ROUND_TRIPS = 20
+WAITING_BUDGET_S = 0.5
 
 
 def ring_spec(nodes, classes):
@@ -137,6 +144,18 @@ def roundtrip(sock, rfile, request):
         return json.loads(reply)
     except ValueError:
         fail("reply is not JSON: %r" % reply[:120])
+
+
+def waiting_client(evaluate):
+    """Runs `evaluate(rid)` (one request sent after the previous reply
+    arrived) WAITING_ROUND_TRIPS times and fails past the budget."""
+    start = time.time()
+    for rid in range(100, 100 + WAITING_ROUND_TRIPS):
+        evaluate(rid)
+    elapsed = time.time() - start
+    if elapsed > WAITING_BUDGET_S:
+        fail("%d waiting round trips took %.3f s (budget %.1f s)" %
+             (WAITING_ROUND_TRIPS, elapsed, WAITING_BUDGET_S))
 
 
 def expect_error(reply, code, what):
@@ -241,8 +260,7 @@ def stdio_session(cli):
                 fail("evaluate %d: %s" % (rid, r))
 
         # 1. A client that waits for each reply before its next line.
-        for rid in (1, 2, 3):
-            evaluate(rid)
+        waiting_client(evaluate)
 
         # 2. An unterminated line far past the cap is answered before
         # its newline, and the connection keeps serving after it.
@@ -295,6 +313,15 @@ def socket_session(cli):
             fail("evaluate: %s" % r)
         if "throughput" not in r.get("result", {}):
             fail("evaluate reply carries no throughput: %s" % r)
+
+        # 1b. A client that waits for each reply before its next line.
+        def evaluate(rid):
+            r = roundtrip(sock, rfile, {"op": "evaluate", "spec": SPEC,
+                                        "windows": [3, 2], "id": rid})
+            if r.get("ok") is not True or r.get("id") != rid:
+                fail("evaluate %d: %s" % (rid, r))
+
+        waiting_client(evaluate)
 
         # 2. Non-JSON garbage: typed parse_error, daemon stays alive.
         expect_error(roundtrip(sock, rfile, "this is not json"),

@@ -23,8 +23,28 @@ ModelCache::ModelCache(std::size_t capacity)
   }
 }
 
+void ModelCache::touch(EntryIt it, const std::string& spec_text) {
+  lru_.splice(lru_.begin(), lru_, it);
+  if (it->alias == spec_text) return;
+  // The text is no key yet: a text canonicalizes to one entry, whose
+  // only alias differs from it.
+  by_alias_.erase(it->alias);
+  it->alias = spec_text;
+  by_alias_.emplace(it->alias, it);
+}
+
 std::shared_ptr<const CachedModel> ModelCache::lookup_or_compile(
     const std::string& spec_text) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = by_alias_.find(spec_text);
+    if (it != by_alias_.end()) {
+      ++hits_;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return it->second->model;
+    }
+  }
+
   // Parse + canonicalize outside the lock; only the map/list mutation is
   // serialized.  Two threads racing on the same new topology may both
   // compile — the second insert finds the key present, counts a hit and
@@ -37,8 +57,8 @@ std::shared_ptr<const CachedModel> ModelCache::lookup_or_compile(
     const auto it = by_canonical_.find(canonical);
     if (it != by_canonical_.end()) {
       ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return *it->second;
+      touch(it->second, spec_text);
+      return it->second->model;
     }
   }
 
@@ -52,15 +72,17 @@ std::shared_ptr<const CachedModel> ModelCache::lookup_or_compile(
   const auto it = by_canonical_.find(entry->canonical_spec);
   if (it != by_canonical_.end()) {
     ++hits_;  // another thread won the compile race
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return *it->second;
+    touch(it->second, spec_text);
+    return it->second->model;
   }
   ++misses_;
-  lru_.push_front(entry);
+  lru_.push_front(Entry{entry, spec_text});
   by_canonical_.emplace(entry->canonical_spec, lru_.begin());
+  by_alias_.emplace(lru_.front().alias, lru_.begin());
   if (lru_.size() > capacity_) {
     ++evictions_;
-    by_canonical_.erase(lru_.back()->canonical_spec);
+    by_alias_.erase(lru_.back().alias);
+    by_canonical_.erase(lru_.back().model->canonical_spec);
     lru_.pop_back();
   }
   return entry;
@@ -81,8 +103,16 @@ std::vector<std::string> ModelCache::keys_mru_first() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> keys;
   keys.reserve(lru_.size());
-  for (const auto& entry : lru_) keys.push_back(entry->canonical_spec);
+  for (const Entry& entry : lru_) keys.push_back(entry.model->canonical_spec);
   return keys;
+}
+
+std::vector<std::string> ModelCache::aliases_mru_first() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::string> aliases;
+  aliases.reserve(lru_.size());
+  for (const Entry& entry : lru_) aliases.push_back(entry.alias);
+  return aliases;
 }
 
 }  // namespace windim::serve

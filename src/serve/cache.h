@@ -1,22 +1,29 @@
-// LRU cache of compiled window-dimensioning problems, keyed by topology
-// hash.
+// LRU cache of compiled window-dimensioning problems, keyed by the
+// spec's canonical text and, on the hit path, by its exact text.
 //
 // Compiling a WindowProblem (validation + CompiledModel construction for
 // the closed and semiclosed views) is the per-request cost `windim
 // serve` amortizes: requests for the same topology hit the cache and go
-// straight to the solver.  The key is the FNV-1a hash of the CANONICAL
-// spec text (parse -> render round trip), so formatting, comment and
-// ordering differences in client specs cannot split one model across
-// entries — while any real difference, down to a single perturbed
-// demand, changes the canonical text and compiles a distinct entry.
-// Hash collisions are survivable by construction: the bucket map is
-// keyed by the canonical text itself and the hash is only carried as
-// the entry's cheap identity for stats/logging.
+// straight to the solver.  The key is the CANONICAL spec text (parse ->
+// render round trip), so formatting, comment and ordering differences
+// in client specs cannot split one model across entries — while any
+// real difference, down to a single perturbed demand, changes the
+// canonical text and compiles a distinct entry.  The maps are keyed by
+// full texts, never by a hash, so no two models can alias; the FNV-1a
+// topology hash is only carried as the entry's cheap identity for
+// stats/logging.
+//
+// Canonicalizing costs a parse and a render on every lookup, so each
+// entry also keeps one alias: the exact text that last reached it.  A
+// byte-identical text hits through that alias under the lock, without
+// a parse; any other text canonicalizes, and a canonical hit makes it
+// the entry's alias.  The alias index thus holds at most one text per
+// entry, and an eviction drops both of an entry's keys.
 //
 // Entries are shared_ptr-held: an eviction never invalidates a model a
 // worker thread is still solving on.  All operations are mutex-guarded;
 // the hit/miss/eviction counters are plain fields read under the same
-// lock (snapshot()), mirrored into windim.serve.* metrics by the
+// lock (stats()), mirrored into windim.serve.* metrics by the
 // server.
 #pragma once
 
@@ -67,11 +74,12 @@ class ModelCache {
   /// evicts the least recently used entry.
   explicit ModelCache(std::size_t capacity);
 
-  /// Parses `spec_text`, canonicalizes it, and returns the cached
-  /// compilation (hit) or compiles and inserts one (miss).  Throws
-  /// cli::SpecError on unparseable text and whatever WindowProblem's
-  /// validation throws on a well-formed but invalid spec — failures are
-  /// never cached.
+  /// Returns the cached compilation of `spec_text` (hit) or compiles
+  /// and inserts one (miss).  A text that is some entry's alias hits
+  /// without a parse; any other is parsed and canonicalized, and
+  /// becomes the alias of the entry it reaches.  Throws cli::SpecError
+  /// on unparseable text and whatever WindowProblem's validation throws
+  /// on a well-formed but invalid spec — failures are never cached.
   [[nodiscard]] std::shared_ptr<const CachedModel> lookup_or_compile(
       const std::string& spec_text);
 
@@ -80,16 +88,27 @@ class ModelCache {
   /// Canonical specs currently cached, most recently used first
   /// (tests pin the LRU eviction order through this).
   [[nodiscard]] std::vector<std::string> keys_mru_first() const;
+  /// Each entry's alias, in the same order as keys_mru_first().
+  [[nodiscard]] std::vector<std::string> aliases_mru_first() const;
 
  private:
+  struct Entry {
+    std::shared_ptr<const CachedModel> model;
+    std::string alias;  // the exact text that last reached the model
+  };
+  using EntryIt = std::list<Entry>::iterator;
+
+  /// Moves `it` to the front and makes `spec_text` its alias.  Caller
+  /// holds the lock.
+  void touch(EntryIt it, const std::string& spec_text);
+
   mutable std::mutex mutex_;
   std::size_t capacity_;
-  /// MRU-first recency list of entries; the map points into it.
-  std::list<std::shared_ptr<const CachedModel>> lru_;
-  std::unordered_map<
-      std::string,
-      std::list<std::shared_ptr<const CachedModel>>::iterator>
-      by_canonical_;
+  /// MRU-first recency list of entries; both maps point into it.
+  std::list<Entry> lru_;
+  std::unordered_map<std::string, EntryIt> by_canonical_;
+  /// Keys view the entries' own alias strings.
+  std::unordered_map<std::string_view, EntryIt> by_alias_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -221,6 +222,32 @@ bool write_all(int fd, std::string_view data) {
   }
   return true;
 }
+
+/// A connection's reply-ready signal: an eventfd that each pool task
+/// pokes once it has set its reply, so the connection loop wakes to
+/// write it.  Every task holds the connection's wake through a
+/// shared_ptr, so a poke that comes after the loop returned still lands
+/// on this open fd, never on a closed or reused one.  When eventfd
+/// fails, fd is -1, which poll() ignores: the loop is left with its
+/// timed poll.
+struct ReplyWake {
+  const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+
+  ReplyWake() = default;
+  ReplyWake(const ReplyWake&) = delete;
+  ReplyWake& operator=(const ReplyWake&) = delete;
+  ~ReplyWake() {
+    if (fd >= 0) ::close(fd);
+  }
+  void poke() const {
+    const std::uint64_t one = 1;
+    if (fd >= 0) (void)!::write(fd, &one, sizeof(one));
+  }
+  void drain() const {
+    std::uint64_t count = 0;
+    (void)!::read(fd, &count, sizeof(count));
+  }
+};
 
 [[noreturn]] void throw_listen_error(const std::string& path, int err) {
   throw std::system_error(err, std::generic_category(),
@@ -1121,6 +1148,7 @@ int Server::serve_connection(int in_fd, int out_fd) {
   bool discarding = false;  // dropping the rest of an over-cap line
   bool reading = true;
   bool written = true;  // false once a reply could not be written
+  const auto wake = std::make_shared<const ReplyWake>();
 
   const auto submit = [&](std::string line) {
     const std::uint64_t enqueued_us = clock_->now_us();
@@ -1129,7 +1157,12 @@ int Server::serve_connection(int in_fd, int out_fd) {
           return handle_line(line, enqueued_us);
         });
     inflight.push_back(task->get_future());
-    pool_.submit([task]() { (*task)(); });
+    // Poke only once the future is set: a poke before it would wake the
+    // loop to a front that is not ready yet, and it would sleep again.
+    pool_.submit([task, wake]() {
+      (*task)();
+      wake->poke();
+    });
   };
   const auto write_front = [&] {
     Reply reply = inflight.front().get();
@@ -1172,10 +1205,10 @@ int Server::serve_connection(int in_fd, int out_fd) {
     }
     scan = buffer.size();
 
-    // The timeout bounds how late a quiet connection flushes a finished
-    // reply and sees the drain.
-    pollfd pfd{in_fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, 50);
+    // Input or a finished reply wakes the loop; the timeout bounds how
+    // late a quiet connection sees the drain.
+    pollfd pfds[2] = {{in_fd, POLLIN, 0}, {wake->fd, POLLIN, 0}};
+    const int rc = ::poll(pfds, 2, 50);
     if (rc <= 0) {
       if (rc < 0 && errno != EINTR) break;
       if (g_stop_signal != 0 ||
@@ -1184,6 +1217,8 @@ int Server::serve_connection(int in_fd, int out_fd) {
       }
       continue;
     }
+    if (pfds[1].revents != 0) wake->drain();
+    if (pfds[0].revents == 0) continue;  // a wake alone: flush replies
     char chunk[4096];
     const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
     if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;

@@ -129,6 +129,12 @@ class Server {
   /// One NDJSON connection: reads request lines from `in_fd` and
   /// writes one reply line per request to `out_fd`, in request order,
   /// pipelining up to max_inflight requests onto the worker pool.
+  ///   - The loop polls `in_fd` and the connection's eventfd, which each
+  ///     pool task pokes once its reply is set, so a reply is written
+  ///     as soon as it and every earlier one are ready: a client that
+  ///     waits for each reply sees the daemon's own time, not a poll
+  ///     timeout.  If eventfd fails, replies flush at the next input or
+  ///     within one 50 ms poll.
   ///   - A line longer than max_request_bytes is answered
   ///     payload_too_large as soon as that many bytes have arrived; the
   ///     rest of it is dropped as it comes in.

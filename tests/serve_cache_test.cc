@@ -1,7 +1,8 @@
 // LRU model-cache semantics for `windim serve`: eviction order, the
 // canonical-key discipline (formatting differences hit, any real model
 // difference — down to one perturbed demand — compiles a distinct
-// entry), and stats that match hand-computed counts.
+// entry), the exact-text alias each entry keeps, and stats that match
+// hand-computed counts.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -111,6 +112,101 @@ TEST(ServeCache, EntriesSurviveEviction) {
   (void)cache.lookup_or_compile(spec_with_rate("20"));  // evicts pinned
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(pinned->problem.num_classes(), 1);  // still fully usable
+}
+
+TEST(ServeCache, ByteIdenticalTextHitsTheSameEntry) {
+  serve::ModelCache cache(4);
+  const std::string text = spec_with_rate("10");
+  const auto first = cache.lookup_or_compile(text);
+  const auto second = cache.lookup_or_compile(text);
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(cache.aliases_mru_first(), std::vector<std::string>{text});
+
+  const serve::CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.entries, 1u);
+}
+
+TEST(ServeCache, ReformattedTextTakesOverTheAlias) {
+  serve::ModelCache cache(4);
+  const std::string plain = spec_with_rate("10");
+  const std::string noisy =
+      "# the same model\n\n  node A\nnode B\n  channel A B 50\n"
+      "class east rate 10 path A B\n";
+  const auto first = cache.lookup_or_compile(plain);
+  // The reformatted text hits through the canonical key and becomes
+  // the entry's one alias...
+  EXPECT_EQ(cache.lookup_or_compile(noisy).get(), first.get());
+  EXPECT_EQ(cache.aliases_mru_first(), std::vector<std::string>{noisy});
+  // ...and the original text still hits, taking the alias back.
+  EXPECT_EQ(cache.lookup_or_compile(plain).get(), first.get());
+  EXPECT_EQ(cache.aliases_mru_first(), std::vector<std::string>{plain});
+
+  const serve::CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.entries, 1u);
+}
+
+TEST(ServeCache, EvictedTextMissesAndRecompiles) {
+  serve::ModelCache cache(1);
+  const std::string a = spec_with_rate("10");
+  const std::string b = spec_with_rate("20");
+  const auto first = cache.lookup_or_compile(a);
+  (void)cache.lookup_or_compile(b);  // evicts A and its alias
+  EXPECT_EQ(cache.aliases_mru_first(), std::vector<std::string>{b});
+
+  const serve::CacheStats before = cache.stats();
+  const auto again = cache.lookup_or_compile(a);
+  const serve::CacheStats after = cache.stats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_NE(again.get(), first.get()) << "an evicted entry answered";
+  EXPECT_EQ(cache.aliases_mru_first(), std::vector<std::string>{a});
+}
+
+TEST(ServeCache, UnparseableTextNeverEntersTheIndex) {
+  serve::ModelCache cache(2);
+  const std::string text = spec_with_rate("10");
+  (void)cache.lookup_or_compile(text);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_THROW((void)cache.lookup_or_compile("garbage"), std::exception);
+  }
+  EXPECT_EQ(cache.aliases_mru_first(), std::vector<std::string>{text});
+  const serve::CacheStats s = cache.stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.entries, 1u);
+}
+
+TEST(ServeCache, HitsPlusMissesCountEveryLookupOverAMixedSequence) {
+  serve::ModelCache cache(2);
+  const std::string a = spec_with_rate("1");
+  const std::string a_noisy = "# a\n" + spec_with_rate("1");
+  const std::string b = spec_with_rate("2");
+  const std::string c = spec_with_rate("3");
+  // Exact hits, alias takeovers, an eviction, a recompile and failed
+  // lookups (which count as neither).
+  const std::string sequence[] = {a, a, a_noisy, b, a_noisy, a,
+                                  c, b, "garbage", b, a_noisy, a};
+  std::uint64_t lookups = 0;
+  for (const std::string& text : sequence) {
+    try {
+      (void)cache.lookup_or_compile(text);
+      ++lookups;
+    } catch (const std::exception&) {
+    }
+  }
+  const serve::CacheStats s = cache.stats();
+  EXPECT_EQ(lookups, 11u);
+  EXPECT_EQ(s.hits + s.misses, lookups);
+  // By hand: misses at a, b, c, b (after its eviction) and a_noisy
+  // (after A's); the other six hit.
+  EXPECT_EQ(s.hits, 6u);
+  EXPECT_EQ(s.misses, 5u);
+  EXPECT_EQ(s.evictions, 3u);
+  EXPECT_EQ(cache.aliases_mru_first(), (std::vector<std::string>{a, b}));
 }
 
 }  // namespace

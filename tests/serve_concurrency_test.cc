@@ -4,10 +4,12 @@
 // determinism contract (replies carry no wall-clock values, searches
 // are sequential) made observable.  Also pins the cache
 // accounting identity hits + misses == compile lookups, the
-// per-connection reply ordering of the pipelined stream loop, and (on
-// Linux) that a server starts only its request workers, that a
-// request's solver_threads cannot make it spawn threads and that the
-// socket daemon reaps finished connections.
+// per-connection reply ordering of the pipelined stream loop, that a
+// client waiting for each reply is answered at once rather than at the
+// loop's poll timeout, that a wake poked after its connection ended
+// never reaches a later one, and (on Linux) that a server starts only
+// its request workers, that a request's solver_threads cannot make it
+// spawn threads and that the socket daemon reaps finished connections.
 //
 // Runs under TSan in CI (the tsan job executes the full ctest suite).
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -189,6 +192,77 @@ TEST(ServeConcurrency, ConcurrentStreamsShareOneServer) {
   EXPECT_EQ(outputs[0], outputs[2]);
 }
 
+/// `n` evaluates of one two-hop topology, ids 0..n-1.
+std::vector<std::string> evaluate_lines(int n) {
+  const std::string spec = json_escape(spec_text(2, 20.0));
+  std::vector<std::string> lines;
+  for (int i = 0; i < n; ++i) {
+    lines.push_back("{\"op\":\"evaluate\",\"spec\":\"" + spec +
+                    "\",\"windows\":[" + std::to_string(1 + i % 4) +
+                    ",2],\"id\":" + std::to_string(i) + "}");
+  }
+  return lines;
+}
+
+TEST(ServeConcurrency, WaitingClientIsAnsweredWithoutThePollTimeout) {
+  // A client that sends each line only after the previous reply is a
+  // window of one.  Each reply must wake the connection loop: left to
+  // the loop's 50 ms poll timeout, these 20 round trips take ~1 s,
+  // while the daemon needs ~0.1 ms for each.
+  constexpr int kRequests = 20;
+  const std::vector<std::string> lines = evaluate_lines(kRequests);
+  serve::Server server(options_with(2));
+  const test::WaitingSession session =
+      test::serve_waiting_client(server, lines);
+  EXPECT_EQ(session.rc, 0);
+  ASSERT_EQ(session.replies.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(session.replies[i], server.handle_line(lines[i]).json)
+        << "reply " << i;
+  }
+  EXPECT_LT(session.elapsed, std::chrono::milliseconds(500))
+      << kRequests << " waiting round trips took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(
+             session.elapsed)
+             .count()
+      << " ms";
+}
+
+TEST(ServeConcurrency, LateWakesNeverReachALaterSession) {
+  // serve_connection returns once every reply is written, which can be
+  // before the last pool task has poked the connection's wake.  Each
+  // session's socketpair is made while the previous one is still open,
+  // so it takes the lowest free fd numbers: the previous wake's, had
+  // that been closed with its connection.  A late poke would then land
+  // in this session's stream as 8 stray bytes.
+  constexpr int kSessions = 200;
+  const std::vector<std::string> lines = evaluate_lines(8);
+  serve::Server server(options_with(4));
+  std::string input;
+  std::string expected;
+  for (const std::string& line : lines) {
+    input += line + "\n";
+    expected += server.handle_line(line).json + "\n";
+  }
+  int previous[2] = {-1, -1};
+  for (int s = 0; s < kSessions; ++s) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    if (s > 0) {
+      ::close(previous[0]);
+      ::close(previous[1]);
+    }
+    const test::Session session =
+        test::serve_on_socketpair(server, input, fds);
+    previous[0] = fds[0];
+    previous[1] = fds[1];
+    ASSERT_EQ(session.rc, 0) << "session " << s;
+    ASSERT_EQ(session.replies, expected) << "session " << s;
+  }
+  ::close(previous[0]);
+  ::close(previous[1]);
+}
+
 #if defined(__linux__)
 /// Threads of this process right now (one /proc/self/task entry each).
 std::size_t live_threads() {
@@ -250,12 +324,24 @@ TEST(ServeConcurrency, SolverThreadsRequestsSpawnNoThreads) {
   EXPECT_LE(peak, before + kWorkers + 1 + kSlack);
 }
 
-/// Mappings of this process right now (one /proc/self/maps line each; a
-/// thread's stack and its guard page are two).
-std::size_t live_mappings() {
+/// Thread stacks of this process right now, in use or cached for reuse:
+/// each has a one-page PROT_NONE guard, a "---p" line of /proc/self/maps.
+/// Malloc's per-thread arenas, which glibc maps whenever more threads
+/// overlap than it has arenas and never unmaps, have no such line, so
+/// this count does not grow with how many connections ran at once.
+std::size_t live_stack_guards() {
+  const auto page = static_cast<unsigned long>(::sysconf(_SC_PAGESIZE));
   std::ifstream maps("/proc/self/maps");
   std::size_t n = 0;
-  for (std::string line; std::getline(maps, line);) ++n;
+  for (std::string line; std::getline(maps, line);) {
+    unsigned long lo = 0;
+    unsigned long hi = 0;
+    char perms[5] = {};
+    if (std::sscanf(line.c_str(), "%lx-%lx %4s", &lo, &hi, perms) == 3 &&
+        std::strcmp(perms, "---p") == 0 && hi - lo == page) {
+      ++n;
+    }
+  }
   return n;
 }
 
@@ -278,7 +364,7 @@ TEST(ServeConcurrency, FinishedConnectionsAreReaped) {
     if (!listening) ready.set_value();
   });
   ready.get_future().wait();
-  const std::size_t before = live_mappings();
+  const std::size_t before = live_stack_guards();
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -296,14 +382,14 @@ TEST(ServeConcurrency, FinishedConnectionsAreReaped) {
     }
   }
   // The accept loop polls every 200 ms; give it a few passes.
-  constexpr std::size_t kSlack = 16;
+  constexpr std::size_t kSlack = 8;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  std::size_t after = live_mappings();
+  std::size_t after = live_stack_guards();
   while (after > before + kSlack &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    after = live_mappings();
+    after = live_stack_guards();
   }
   EXPECT_LE(after, before + kSlack);
 

@@ -155,7 +155,9 @@ TEST(SpanTracer, DepthsFormAValidForestPerTrack) {
     } else {
       // Real scopes append at CLOSE (post-order, leaves first); only
       // tracks opened by synthesized pre-order events must start at 0.
-      if (e.string_or("name", "") == "probe") EXPECT_EQ(depth, 0.0);
+      if (e.string_or("name", "") == "probe") {
+        EXPECT_EQ(depth, 0.0);
+      }
     }
     last_depth[tid] = depth;
   }
