@@ -10,8 +10,8 @@ each binary:
     perfbench/workloads.py for seeds 1 and 101, and
   - evaluates of one cached spec re-sent with only its formatting
     changed (blank lines, indentation, a comment), then in its original
-    text again, so the model cache's exact-text alias moves between
-    texts of one entry;
+    text again, so one entry is reached through its canonical key and
+    then through its exact-text alias;
   - one line per op and per error class one session can reach: every
     dimension objective, pareto, scenario, fuzz-replay, the stats,
     trace, metrics and dump ops, and a final shutdown; parse_error,

@@ -23,16 +23,6 @@ ModelCache::ModelCache(std::size_t capacity)
   }
 }
 
-void ModelCache::touch(EntryIt it, const std::string& spec_text) {
-  lru_.splice(lru_.begin(), lru_, it);
-  if (it->alias == spec_text) return;
-  // The text is no key yet: a text canonicalizes to one entry, whose
-  // only alias differs from it.
-  by_alias_.erase(it->alias);
-  it->alias = spec_text;
-  by_alias_.emplace(it->alias, it);
-}
-
 std::shared_ptr<const CachedModel> ModelCache::lookup_or_compile(
     const std::string& spec_text) {
   {
@@ -57,7 +47,7 @@ std::shared_ptr<const CachedModel> ModelCache::lookup_or_compile(
     const auto it = by_canonical_.find(canonical);
     if (it != by_canonical_.end()) {
       ++hits_;
-      touch(it->second, spec_text);
+      lru_.splice(lru_.begin(), lru_, it->second);
       return it->second->model;
     }
   }
@@ -72,7 +62,7 @@ std::shared_ptr<const CachedModel> ModelCache::lookup_or_compile(
   const auto it = by_canonical_.find(entry->canonical_spec);
   if (it != by_canonical_.end()) {
     ++hits_;  // another thread won the compile race
-    touch(it->second, spec_text);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->model;
   }
   ++misses_;

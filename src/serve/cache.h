@@ -14,11 +14,12 @@
 // stats/logging.
 //
 // Canonicalizing costs a parse and a render on every lookup, so each
-// entry also keeps one alias: the exact text that last reached it.  A
+// entry also keeps one alias: the exact text that compiled it.  A
 // byte-identical text hits through that alias under the lock, without
-// a parse; any other text canonicalizes, and a canonical hit makes it
-// the entry's alias.  The alias index thus holds at most one text per
-// entry, and an eviction drops both of an entry's keys.
+// a parse; any other text canonicalizes and hits (or compiles) through
+// the canonical key, leaving the alias as it was.  The alias index
+// thus holds one text per entry, and an eviction drops both of an
+// entry's keys.
 //
 // Entries are shared_ptr-held: an eviction never invalidates a model a
 // worker thread is still solving on.  All operations are mutex-guarded;
@@ -76,8 +77,8 @@ class ModelCache {
 
   /// Returns the cached compilation of `spec_text` (hit) or compiles
   /// and inserts one (miss).  A text that is some entry's alias hits
-  /// without a parse; any other is parsed and canonicalized, and
-  /// becomes the alias of the entry it reaches.  Throws cli::SpecError
+  /// without a parse; any other is parsed and canonicalized, and on a
+  /// miss becomes the new entry's alias.  Throws cli::SpecError
   /// on unparseable text and whatever WindowProblem's validation throws
   /// on a well-formed but invalid spec — failures are never cached.
   [[nodiscard]] std::shared_ptr<const CachedModel> lookup_or_compile(
@@ -94,13 +95,9 @@ class ModelCache {
  private:
   struct Entry {
     std::shared_ptr<const CachedModel> model;
-    std::string alias;  // the exact text that last reached the model
+    std::string alias;  // the exact text that compiled the model
   };
   using EntryIt = std::list<Entry>::iterator;
-
-  /// Moves `it` to the front and makes `spec_text` its alias.  Caller
-  /// holds the lock.
-  void touch(EntryIt it, const std::string& spec_text);
 
   mutable std::mutex mutex_;
   std::size_t capacity_;

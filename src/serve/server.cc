@@ -1206,17 +1206,16 @@ int Server::serve_connection(int in_fd, int out_fd) {
     scan = buffer.size();
 
     // Input or a finished reply wakes the loop; the timeout bounds how
-    // late a quiet connection sees the drain.
+    // late a quiet connection sees the drain.  The drain is checked on
+    // every wake, not only on a timeout: a client that sends its next
+    // line as soon as each reply arrives never lets the poll time out.
     pollfd pfds[2] = {{in_fd, POLLIN, 0}, {wake->fd, POLLIN, 0}};
     const int rc = ::poll(pfds, 2, 50);
-    if (rc <= 0) {
-      if (rc < 0 && errno != EINTR) break;
-      if (g_stop_signal != 0 ||
-          shutting_down_.load(std::memory_order_acquire)) {
-        break;
-      }
-      continue;
+    if (rc < 0 && errno != EINTR) break;
+    if (g_stop_signal != 0 || shutting_down_.load(std::memory_order_acquire)) {
+      break;
     }
+    if (rc <= 0) continue;
     if (pfds[1].revents != 0) wake->drain();
     if (pfds[0].revents == 0) continue;  // a wake alone: flush replies
     char chunk[4096];

@@ -139,8 +139,10 @@ class Server {
   ///     payload_too_large as soon as that many bytes have arrived; the
   ///     rest of it is dropped as it comes in.
   ///   - A last line without a newline is answered at end of input.
-  ///   - A quiet connection notices the drain (a shutdown op, or
-  ///     SIGTERM/SIGINT under serve_unix) within one 50 ms poll.
+  ///   - The loop notices the drain (a shutdown op, or SIGTERM/SIGINT
+  ///     under serve_unix) at its next input or wake, and a quiet
+  ///     connection within one 50 ms poll; input it has not read by
+  ///     then is not answered.
   /// Reading stops at end of input, at the drain, once a shutdown reply
   /// is written or once a reply cannot be written; requests already in
   /// flight still finish.  Returns 0, or 1 when a reply could not be

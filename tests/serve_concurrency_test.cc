@@ -9,7 +9,8 @@
 // loop's poll timeout, that a wake poked after its connection ended
 // never reaches a later one, and (on Linux) that a server starts only
 // its request workers, that a request's solver_threads cannot make it
-// spawn threads and that the socket daemon reaps finished connections.
+// spawn threads, that the socket daemon reaps finished connections and
+// that a drain ends a connection whose client keeps sending.
 //
 // Runs under TSan in CI (the tsan job executes the full ctest suite).
 #include <gtest/gtest.h>
@@ -345,41 +346,80 @@ std::size_t live_stack_guards() {
   return n;
 }
 
-TEST(ServeConcurrency, FinishedConnectionsAreReaped) {
-  // serve_unix runs each connection on its own thread.  A finished one
-  // must be joined while the daemon keeps serving: unjoined, every
-  // closed connection keeps its stack mapped until shutdown.
-  serve::Server server(options_with(2));
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("windim-reap-" + std::to_string(::getpid()) + ".sock"))
-          .string();
+/// A socket path under the temp directory, unique to this process.
+std::string socket_path(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("windim-" + tag + "-" + std::to_string(::getpid()) + ".sock"))
+      .string();
+}
+
+/// Runs server.serve_unix(path) on a new thread; returns once it listens
+/// (or has failed to).
+std::thread start_daemon(serve::Server& server, const std::string& path) {
   std::promise<void> ready;
-  std::thread daemon([&] {
-    bool listening = false;
+  std::future<void> listening = ready.get_future();
+  std::thread daemon([&server, path, ready = std::move(ready)]() mutable {
+    bool listened = false;
     EXPECT_NO_THROW(server.serve_unix(path, [&] {
-      listening = true;
+      listened = true;
       ready.set_value();
     }));
-    if (!listening) ready.set_value();
+    if (!listened) ready.set_value();
   });
-  ready.get_future().wait();
-  const std::size_t before = live_stack_guards();
+  listening.wait();
+  return daemon;
+}
 
+/// A client socket connected to `path`, or -1.
+int connect_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends `line` and reads up to its reply's newline; false once the
+/// server's side is gone.
+bool round_trip(int fd, const std::string& line, std::string& reply) {
+  const std::string request = line + "\n";
+  if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(request.size())) {
+    return false;
+  }
+  reply.clear();
+  char c = 0;
+  while (::read(fd, &c, 1) == 1) {
+    if (c == '\n') return true;
+    reply += c;
+  }
+  return false;
+}
+
+TEST(ServeConcurrency, FinishedConnectionsAreReaped) {
+  // serve_unix runs each connection on its own thread.  A finished one
+  // must be joined while the daemon keeps serving: unjoined, every
+  // closed connection keeps its stack mapped until shutdown.  Only
+  // thread stacks are counted (live_stack_guards), so a connection that
+  // leaked some other mapping would pass.
+  serve::Server server(options_with(2));
+  const std::string path = socket_path("reap");
+  std::thread daemon = start_daemon(server, path);
+  const std::size_t before = live_stack_guards();
+
   constexpr int kConnections = 300;
   for (int i = 0; i < kConnections; ++i) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    const bool connected =
-        fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                             sizeof(addr)) == 0;
-    if (fd >= 0) ::close(fd);
-    if (!connected) {
+    const int fd = connect_unix(path);
+    if (fd < 0) {
       ADD_FAILURE() << "connection " << i << " failed";
       break;
     }
+    ::close(fd);
   }
   // The accept loop polls every 200 ms; give it a few passes.
   constexpr std::size_t kSlack = 8;
@@ -395,6 +435,56 @@ TEST(ServeConcurrency, FinishedConnectionsAreReaped) {
 
   (void)server.handle_line("{\"op\":\"shutdown\"}");
   daemon.join();
+}
+
+TEST(ServeConcurrency, DrainEndsAConnectionThatKeepsSending) {
+  // Each reply wakes a waiting client's connection loop, and its next
+  // line comes at once, so that loop's poll never times out.  A drain
+  // begun on another connection must still end it at its next wake:
+  // otherwise serve_unix's last join waits for as long as the client
+  // keeps sending, which here is 5 s.
+  serve::Server server(options_with(2));
+  const std::string path = socket_path("drain");
+  std::thread daemon = start_daemon(server, path);
+
+  std::atomic<int> answered{0};
+  std::thread client([&] {
+    const int fd = connect_unix(path);
+    ASSERT_GE(fd, 0);
+    const std::string line = evaluate_lines(1).front();
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    std::string reply;
+    while (std::chrono::steady_clock::now() < give_up &&
+           round_trip(fd, line, reply)) {
+      ++answered;
+    }
+    ::close(fd);
+  });
+  const auto busy_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (answered < 3 && std::chrono::steady_clock::now() < busy_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(answered.load(), 3) << "the waiting client got no replies";
+
+  const std::string shutdown = "{\"op\":\"shutdown\",\"id\":1}";
+  const int fd = connect_unix(path);
+  std::string reply;
+  if (!round_trip(fd, shutdown, reply)) {
+    ADD_FAILURE() << "the shutdown connection failed";
+    (void)server.handle_line(shutdown);
+  }
+  const auto drain_began = std::chrono::steady_clock::now();
+  daemon.join();
+  const auto drained = std::chrono::steady_clock::now() - drain_began;
+  client.join();
+  if (fd >= 0) ::close(fd);
+  EXPECT_LT(drained, std::chrono::seconds(1))
+      << "serve_unix returned "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(drained)
+             .count()
+      << " ms after the shutdown reply";
 }
 #endif
 
